@@ -20,41 +20,21 @@ import configparser
 import json
 import math
 import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .model import ModelParams
-from .evolve import EvolutionPlan, Trajectory, initial_amplitudes, run, write_trajectory_csv
+from .evolve import EvolutionPlan, initial_amplitudes, run, write_trajectory_csv
 from . import observables as obs
 from .oracles import bessel_jn_sequence, dense_2d_hamiltonian, dense_hamiltonian
 from .circuits import build_trotter_step, build_two_particle_step
 from .transpile import REFERENCE_STEP_COUNTS_3Q, count, decompose, emit_qasm
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run_scenario", "main"]
-
-SCENARIOS = (
-    "single-exact",
-    "single-trotter",
-    "single-ode",
-    "two-particle",
-    "spectrum",
-    "dispersion",
-    "ladder",
-    "transpile-report",
-    "bessel-check",
-    "dim2",
-)
-
-_SCENARIO_STEPPER = {
-    "single-exact": "exact-dense",
-    "single-trotter": "trotter1",
-    "single-ode": "ode-rk4",
-}
-
-#: scenarios that run gate circuits and therefore need N = 2**gamma
-_CIRCUIT_SCENARIOS = ("single-trotter", "two-particle", "transpile-report")
 
 _MODEL_KEYS = ("delta_a", "delta_b", "f_dc", "f_ac", "omega", "v", "n_sites")
 _MODEL_DEFAULTS = {
@@ -63,14 +43,6 @@ _MODEL_DEFAULTS = {
 }
 _PLAN_KEYS = ("dt", "n_steps", "stepper", "field_sampling", "store_states")
 _INITIAL_KEYS = ("kind", "site", "site1", "site2")
-_SCENARIO_KEYS = {
-    "spectrum": ("f_values",),
-    "dispersion": ("k_points",),
-    "ladder": ("f_const", "alpha_min", "alpha_max", "bands"),
-    "transpile-report": ("sample_time",),
-    "bessel-check": ("n_max", "x_values"),
-    "dim2": ("t_end",),
-}
 
 
 class ConfigError(ValueError):
@@ -109,22 +81,21 @@ class _Section:
     def get(self, key: str, default=None):
         return self.raw.get(key, default)
 
-    def get_float(self, key: str, default=None):
+    def get_float(self, key: str, default: float) -> float:
         value = self.raw.get(key)
         if value is None:
-            if default is None:
-                _fail(self.name, key, "required key missing")
             return float(default)
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             _fail(self.name, key, f"not a number: {value!r}")
+        if not math.isfinite(number):
+            _fail(self.name, key, f"not a finite number: {value!r}")
+        return number
 
-    def get_int(self, key: str, default=None):
+    def get_int(self, key: str, default: int) -> int:
         value = self.raw.get(key)
         if value is None:
-            if default is None:
-                _fail(self.name, key, "required key missing")
             return int(default)
         try:
             return int(value)
@@ -145,140 +116,68 @@ class _Section:
     def get_floats(self, key: str, default: str):
         text = self.raw.get(key, default)
         try:
-            return [float(tok) for tok in text.split(",") if tok.strip()]
+            numbers = [float(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
             _fail(self.name, key, f"not a comma-separated number list: {text!r}")
+        if not all(map(math.isfinite, numbers)):
+            _fail(self.name, key, f"not a finite number: {text!r}")
+        return numbers
 
 
-def _model_from(section: _Section, where: str) -> ModelParams:
+def _model_from(section: _Section) -> ModelParams:
     kwargs = {key: section.get_float(key, _MODEL_DEFAULTS[key]) for key in _MODEL_KEYS
               if key != "n_sites"}
     kwargs["n_sites"] = section.get_int("n_sites", _MODEL_DEFAULTS["n_sites"])
     try:
         return ModelParams(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate config text; unknown sections/keys are errors."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax: {exc}") from None
-
-    known_sections = {"run", "model", "plan", "initial", "scenario", "model_y"}
-    for name in parser.sections():
-        if name not in known_sections:
-            raise ConfigError(f"unknown section [{name}]")
-
-    run_sec = _Section(parser, "run", ("scenario", "label"))
-    scenario = run_sec.get("scenario", "")
-    if not scenario:
-        _fail("run", "scenario", "required key missing")
-    if scenario not in SCENARIOS:
-        _fail("run", "scenario", f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
-    label = run_sec.get("label", scenario)
-
-    model = _model_from(_Section(parser, "model", _MODEL_KEYS), "model")
-    if scenario in _CIRCUIT_SCENARIOS and model.gamma is None:
-        _fail("model", "n_sites",
-              f"must be a power of two for scenario {scenario}, got {model.n_sites}")
-
-    plan_sec = _Section(parser, "plan", _PLAN_KEYS)
-    plan = None
-    if scenario in _SCENARIO_STEPPER or scenario == "two-particle":
-        forced = _SCENARIO_STEPPER.get(scenario)
-        stepper = plan_sec.get("stepper", forced or "trotter1")
-        if forced is not None and stepper != forced:
-            _fail("plan", "stepper", f"scenario {scenario} runs {forced!r}, got {stepper!r}")
-        if scenario == "two-particle" and stepper not in ("trotter1", "exact-dense"):
-            _fail("plan", "stepper", f"two-particle supports trotter1/exact-dense, got {stepper!r}")
-        dt = plan_sec.get_float("dt", 0.02)
-        if dt <= 0:
-            _fail("plan", "dt", f"must be > 0, got {dt}")
-        n_steps = plan_sec.get_int("n_steps", 100)
-        if n_steps < 1:
-            _fail("plan", "n_steps", f"must be >= 1, got {n_steps}")
-        field_sampling = plan_sec.get("field_sampling", "end")
-        if field_sampling not in ("end", "midpoint"):
-            _fail("plan", "field_sampling", f"must be end or midpoint, got {field_sampling!r}")
-        plan = EvolutionPlan(dt=dt, n_steps=n_steps, stepper=stepper,
-                             field_sampling=field_sampling,
-                             store_states=plan_sec.get_bool("store_states", True))
-    elif plan_sec.raw and scenario != "transpile-report":
-        key = sorted(plan_sec.raw)[0]
-        _fail("plan", key, f"scenario {scenario} takes no evolution plan")
-
-    init_sec = _Section(parser, "initial", _INITIAL_KEYS)
-    initial: dict = {}
-    if scenario in _SCENARIO_STEPPER:
-        kind = init_sec.get("kind", "spike")
-        if kind not in ("spike", "gaussian"):
-            _fail("initial", "kind", f"single-particle scenarios take spike or gaussian, got {kind!r}")
-        initial["kind"] = kind
-        if kind == "spike":
-            initial["site"] = init_sec.get_int("site", 2)
-    elif scenario == "two-particle":
-        kind = init_sec.get("kind", "spike2")
-        if kind != "spike2":
-            _fail("initial", "kind", f"two-particle takes spike2, got {kind!r}")
-        initial["kind"] = kind
-        initial["site1"] = init_sec.get_int("site1", 1)
-        initial["site2"] = init_sec.get_int("site2", 2)
-    elif init_sec.raw:
-        key = sorted(init_sec.raw)[0]
-        _fail("initial", key, f"scenario {scenario} takes no initial state")
-
-    extras_sec = _Section(parser, "scenario", _SCENARIO_KEYS.get(scenario, ()))
-    extras: dict = {}
-    if scenario == "spectrum":
-        extras["f_values"] = extras_sec.get_floats("f_values", "0, 0.2, 1")
-    elif scenario == "dispersion":
-        k_points = extras_sec.get_int("k_points", 201)
-        if k_points < 2:
-            _fail("scenario", "k_points", f"must be >= 2, got {k_points}")
-        extras["k_points"] = k_points
-    elif scenario == "ladder":
-        f_const = extras_sec.get_float("f_const", 1.0)
-        if f_const <= 0:
-            _fail("scenario", "f_const", f"must be > 0, got {f_const}")
-        extras["f_const"] = f_const
-        extras["alpha_min"] = extras_sec.get_int("alpha_min", -10)
-        extras["alpha_max"] = extras_sec.get_int("alpha_max", 10)
-        if extras["alpha_max"] < extras["alpha_min"]:
-            _fail("scenario", "alpha_max", "must be >= alpha_min")
-        bands = extras_sec.get("bands", "-,+")
-        band_list = [tok.strip() for tok in bands.split(",") if tok.strip()]
-        if not band_list or any(b not in ("-", "+") for b in band_list):
-            _fail("scenario", "bands", f"must list '-' and/or '+', got {bands!r}")
-        extras["bands"] = band_list
-    elif scenario == "transpile-report":
-        extras["sample_time"] = extras_sec.get_float("sample_time", plan_sec.get_float("dt", 0.02))
-    elif scenario == "bessel-check":
-        n_max = extras_sec.get_int("n_max", 40)
-        if n_max < 0:
-            _fail("scenario", "n_max", f"must be >= 0, got {n_max}")
-        extras["n_max"] = n_max
-        extras["x_values"] = extras_sec.get_floats("x_values", "0.5, 2.0, 7.5, 20.0")
-    elif scenario == "dim2":
-        t_end = extras_sec.get_float("t_end", 0.5)
-        if t_end < 0:
-            _fail("scenario", "t_end", f"must be >= 0, got {t_end}")
-        extras["t_end"] = t_end
-
-    model_y = None
-    if scenario == "dim2":
-        model_y = _model_from(_Section(parser, "model_y", _MODEL_KEYS), "model_y")
-    elif parser.has_section("model_y"):
-        raise ConfigError(f"section [model_y] only applies to the dim2 scenario, not {scenario}")
-
-    return RunConfig(scenario, label, model, plan, initial, extras, model_y)
+        raise ConfigError(f"{section.name}.{exc}") from None
 
 
 # ---------------------------------------------------------------------------
-# scenario execution
+# [scenario] extras, one parser per scenario that takes any
+
+
+def _spectrum_extras(sec: _Section, plan_sec: _Section) -> dict:
+    return {"f_values": sec.get_floats("f_values", "0, 0.2, 1")}
+
+
+def _dispersion_extras(sec: _Section, plan_sec: _Section) -> dict:
+    k_points = sec.get_int("k_points", 201)
+    if k_points < 2:
+        _fail("scenario", "k_points", f"must be >= 2, got {k_points}")
+    return {"k_points": k_points}
+
+
+def _ladder_extras(sec: _Section, plan_sec: _Section) -> dict:
+    f_const = sec.get_float("f_const", 1.0)
+    if f_const <= 0:
+        _fail("scenario", "f_const", f"must be > 0, got {f_const}")
+    alpha_min = sec.get_int("alpha_min", -10)
+    alpha_max = sec.get_int("alpha_max", 10)
+    if alpha_max < alpha_min:
+        _fail("scenario", "alpha_max", "must be >= alpha_min")
+    bands = sec.get("bands", "-,+")
+    band_list = [tok.strip() for tok in bands.split(",") if tok.strip()]
+    if not band_list or any(b not in ("-", "+") for b in band_list):
+        _fail("scenario", "bands", f"must list '-' and/or '+', got {bands!r}")
+    return {"f_const": f_const, "alpha_min": alpha_min, "alpha_max": alpha_max,
+            "bands": band_list}
+
+
+def _transpile_extras(sec: _Section, plan_sec: _Section) -> dict:
+    return {"sample_time": sec.get_float("sample_time", plan_sec.get_float("dt", 0.02))}
+
+
+def _bessel_extras(sec: _Section, plan_sec: _Section) -> dict:
+    n_max = sec.get_int("n_max", 40)
+    if n_max < 0:
+        _fail("scenario", "n_max", f"must be >= 0, got {n_max}")
+    return {"n_max": n_max, "x_values": sec.get_floats("x_values", "0.5, 2.0, 7.5, 20.0")}
+
+
+# ---------------------------------------------------------------------------
+# scenario execution; every runner returns (artifact names, manifest notes)
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
@@ -288,50 +187,32 @@ def _write_rows(path: Path, header: str, rows) -> None:
             fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
-def _initial_array(config: RunConfig) -> np.ndarray:
-    initial = config.initial
-    if initial["kind"] == "spike":
-        return initial_amplitudes("spike", config.model, initial["site"])
-    if initial["kind"] == "gaussian":
-        return initial_amplitudes("gaussian", config.model)
-    return initial_amplitudes("spike2", config.model, initial["site1"], initial["site2"])
-
-
-def _series_for(traj: Trajectory, store_states: bool):
-    series = [obs.position_series(traj), obs.probability_series(traj)]
-    if store_states:
-        series.append(obs.momentum_series(traj))
-    return series
-
-
-def _run_single(config: RunConfig, out: Path) -> list[str]:
-    traj = run(_initial_array(config), config.model, config.plan)
+def _run_evolution(config: RunConfig, out: Path) -> tuple[list[str], dict]:
+    kind, *sites = config.initial.values()
+    traj = run(initial_amplitudes(kind, config.model, *sites), config.model, config.plan)
     write_trajectory_csv(traj, out / "trajectory.csv")
-    obs.write_series_csv(_series_for(traj, config.plan.store_states), out / "series.csv")
-    return ["trajectory.csv", "series.csv"]
+    if traj.probabilities.shape[1] != config.model.n_sites:
+        return ["trajectory.csv"], {}  # the sublattice series are single-particle observables
+    series = [obs.position_series(traj), obs.probability_series(traj), obs.momentum_series(traj)]
+    obs.write_series_csv(series, out / "series.csv")
+    return ["trajectory.csv", "series.csv"], {}
 
 
-def _run_two_particle(config: RunConfig, out: Path) -> list[str]:
-    traj = run(_initial_array(config), config.model, config.plan)
-    write_trajectory_csv(traj, out / "trajectory.csv")
-    return ["trajectory.csv"]
-
-
-def _run_spectrum(config: RunConfig, out: Path) -> list[str]:
+def _run_spectrum(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     rows = []
     for f in config.extras["f_values"]:
         for idx, energy in enumerate(obs.spectrum(config.model, f)):
             rows.append((float(f), idx, float(energy)))
     _write_rows(out / "spectrum.csv", "f,index,energy", rows)
-    return ["spectrum.csv"]
+    return ["spectrum.csv"], {}
 
 
-def _run_dispersion(config: RunConfig, out: Path) -> list[str]:
+def _run_dispersion(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     k = np.linspace(-np.pi / 2.0, np.pi / 2.0, config.extras["k_points"])
     upper, lower = obs.dispersion(config.model, k)
     rows = [(float(ki), float(lo), float(up)) for ki, lo, up in zip(k, lower, upper)]
     _write_rows(out / "spectrum.csv", "k,band_minus,band_plus", rows)
-    return ["spectrum.csv"]
+    return ["spectrum.csv"], {}
 
 
 def _run_ladder(config: RunConfig, out: Path) -> tuple[list[str], dict]:
@@ -357,12 +238,10 @@ def _run_transpile_report(config: RunConfig, out: Path) -> tuple[list[str], dict
     basis = decompose(circuit)
     counts = count(basis)
     (out / "circuit.qasm").write_text(emit_qasm(basis), encoding="ascii")
-    report = {
-        "qubits": basis.qubit_count,
-        "counts": counts.as_dict(),
-        "reference_counts_3q": REFERENCE_STEP_COUNTS_3Q,
-        "matches_reference": counts.as_dict() == REFERENCE_STEP_COUNTS_3Q,
-    }
+    report = {"qubits": basis.qubit_count, "counts": counts.as_dict()}
+    if basis.qubit_count == 3:
+        report["reference_counts_3q"] = REFERENCE_STEP_COUNTS_3Q
+        report["matches_reference"] = counts.as_dict() == REFERENCE_STEP_COUNTS_3Q
     (out / "counts.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                      encoding="ascii")
     return ["circuit.qasm", "counts.json"], {"counts": counts.as_dict()}
@@ -391,65 +270,168 @@ def _run_dim2(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     residual = float(np.max(np.abs(np.sort(energies) - pair_sums)))
     _write_rows(out / "spectrum.csv", "index,energy",
                 [(idx, float(e)) for idx, e in enumerate(energies)])
-    return ["spectrum.csv"], {"kronecker_sum_residual": residual, "t_end": config.extras["t_end"]}
+    return ["spectrum.csv"], {"kronecker_sum_residual": residual}
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """What one scenario reads from the config, and the runner that executes it.
+
+    ``steppers`` are the plan.stepper values it accepts, default first; a
+    scenario without steppers takes no [plan]. ``initial`` maps each initial
+    kind it accepts to that kind's default sites, default kind first; an
+    empty map means it takes no [initial]. ``extras`` parses the [scenario]
+    keys named in ``extra_keys``.
+    """
+
+    runner: Callable[[RunConfig, Path], tuple[list[str], dict]]
+    steppers: tuple[str, ...] = ()
+    initial: dict[str, dict[str, int]] = field(default_factory=dict)
+    extra_keys: tuple[str, ...] = ()
+    extras: Callable[[_Section, _Section], dict] | None = None
+    #: runs gate circuits, so n_sites must be 2**gamma
+    circuit: bool = False
+    #: writes amplitudes, so plan.store_states must stay true
+    needs_states: bool = False
+    #: accepts a [plan] it does not evolve; plan.dt is the default sample_time
+    ignores_plan: bool = False
+    #: reads a second axis from [model_y]
+    model_y: bool = False
+
+
+_SINGLE_INITIAL = {"spike": {"site": 2}, "gaussian": {}}
+
+_SCENARIOS: dict[str, _Scenario] = {
+    "single-exact": _Scenario(_run_evolution, steppers=("exact-dense",),
+                              initial=_SINGLE_INITIAL, needs_states=True),
+    "single-trotter": _Scenario(_run_evolution, steppers=("trotter1",),
+                                initial=_SINGLE_INITIAL, needs_states=True, circuit=True),
+    "single-ode": _Scenario(_run_evolution, steppers=("ode-rk4",),
+                            initial=_SINGLE_INITIAL, needs_states=True),
+    "two-particle": _Scenario(_run_evolution, steppers=("trotter1", "exact-dense"),
+                              initial={"spike2": {"site1": 1, "site2": 2}}, circuit=True),
+    "spectrum": _Scenario(_run_spectrum, extra_keys=("f_values",), extras=_spectrum_extras),
+    "dispersion": _Scenario(_run_dispersion, extra_keys=("k_points",),
+                            extras=_dispersion_extras),
+    "ladder": _Scenario(_run_ladder, extra_keys=("f_const", "alpha_min", "alpha_max", "bands"),
+                        extras=_ladder_extras),
+    "transpile-report": _Scenario(_run_transpile_report, extra_keys=("sample_time",),
+                                  extras=_transpile_extras, circuit=True, ignores_plan=True),
+    "bessel-check": _Scenario(_run_bessel_check, extra_keys=("n_max", "x_values"),
+                              extras=_bessel_extras),
+    "dim2": _Scenario(_run_dim2, model_y=True),
+}
+
+SCENARIOS = tuple(_SCENARIOS)
+
+
+# ---------------------------------------------------------------------------
+# parsing
+
+
+def _plan_from(sec: _Section, scenario: str, entry: _Scenario) -> EvolutionPlan:
+    stepper = sec.get("stepper", entry.steppers[0])
+    if stepper not in entry.steppers:
+        allowed = " or ".join(map(repr, entry.steppers))
+        _fail("plan", "stepper", f"scenario {scenario} runs {allowed}, got {stepper!r}")
+    n_steps = sec.get_int("n_steps", 100)
+    if n_steps < 1:
+        _fail("plan", "n_steps", f"must be >= 1, got {n_steps}")
+    store_states = sec.get_bool("store_states", True)
+    if entry.needs_states and not store_states:
+        _fail("plan", "store_states", f"scenario {scenario} writes amplitudes, so it must be true")
+    dt = sec.get_float("dt", 0.02)
+    field_sampling = sec.get("field_sampling", "end")
+    try:
+        return EvolutionPlan(dt=dt, n_steps=n_steps, stepper=stepper,
+                             field_sampling=field_sampling, store_states=store_states)
+    except ValueError as exc:
+        raise ConfigError(f"plan.{exc}") from None
+
+
+def _initial_from(sec: _Section, scenario: str, entry: _Scenario) -> dict:
+    kind = sec.get("kind", next(iter(entry.initial)))
+    if kind not in entry.initial:
+        _fail("initial", "kind", f"{scenario} takes {' or '.join(entry.initial)}, got {kind!r}")
+    return {"kind": kind, **{key: sec.get_int(key, default)
+                             for key, default in entry.initial[kind].items()}}
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and fully validate config text; unknown sections/keys are errors."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"config syntax: {exc}") from None
+
+    known_sections = {"run", "model", "plan", "initial", "scenario", "model_y"}
+    for name in parser.sections():
+        if name not in known_sections:
+            raise ConfigError(f"unknown section [{name}]")
+
+    run_sec = _Section(parser, "run", ("scenario", "label"))
+    scenario = run_sec.get("scenario", "")
+    if not scenario:
+        _fail("run", "scenario", "required key missing")
+    if scenario not in _SCENARIOS:
+        _fail("run", "scenario", f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
+    entry = _SCENARIOS[scenario]
+    label = run_sec.get("label", scenario)
+
+    model = _model_from(_Section(parser, "model", _MODEL_KEYS))
+    if entry.circuit and model.gamma is None:
+        _fail("model", "n_sites",
+              f"must be a power of two for scenario {scenario}, got {model.n_sites}")
+
+    plan_sec = _Section(parser, "plan", _PLAN_KEYS)
+    plan = None
+    if entry.steppers:
+        plan = _plan_from(plan_sec, scenario, entry)
+    elif plan_sec.raw and not entry.ignores_plan:
+        _fail("plan", sorted(plan_sec.raw)[0], f"scenario {scenario} takes no evolution plan")
+
+    init_sec = _Section(parser, "initial", _INITIAL_KEYS)
+    initial: dict = {}
+    if entry.initial:
+        initial = _initial_from(init_sec, scenario, entry)
+    elif init_sec.raw:
+        _fail("initial", sorted(init_sec.raw)[0], f"scenario {scenario} takes no initial state")
+
+    extras_sec = _Section(parser, "scenario", entry.extra_keys)
+    extras = entry.extras(extras_sec, plan_sec) if entry.extras else {}
+
+    model_y = None
+    if entry.model_y:
+        model_y = _model_from(_Section(parser, "model_y", _MODEL_KEYS))
+    elif parser.has_section("model_y"):
+        raise ConfigError(f"section [model_y] only applies to the dim2 scenario, not {scenario}")
+
+    return RunConfig(scenario, label, model, plan, initial, extras, model_y)
 
 
 def run_scenario(config: RunConfig, out_dir) -> list[str]:
     """Execute one scenario; returns the artifact names written (manifest last)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    notes: dict = {}
-    if config.scenario in _SCENARIO_STEPPER:
-        artifacts = _run_single(config, out)
-    elif config.scenario == "two-particle":
-        artifacts = _run_two_particle(config, out)
-    elif config.scenario == "spectrum":
-        artifacts = _run_spectrum(config, out)
-    elif config.scenario == "dispersion":
-        artifacts = _run_dispersion(config, out)
-    elif config.scenario == "ladder":
-        artifacts, notes = _run_ladder(config, out)
-    elif config.scenario == "transpile-report":
-        artifacts, notes = _run_transpile_report(config, out)
-    elif config.scenario == "bessel-check":
-        artifacts, notes = _run_bessel_check(config, out)
-    else:
-        artifacts, notes = _run_dim2(config, out)
-
+    artifacts, notes = _SCENARIOS[config.scenario].runner(config, out)
     manifest = {
         "package": "blochsim",
         "version": __version__,
         "scenario": config.scenario,
         "label": config.label,
-        "model": _params_dict(config.model),
-        "plan": _plan_dict(config.plan),
+        "model": asdict(config.model),
+        "plan": asdict(config.plan) if config.plan is not None else None,
         "initial": config.initial or None,
         "scenario_extras": config.extras or None,
         "notes": notes or None,
         "outputs": artifacts,
     }
     if config.model_y is not None:
-        manifest["model_y"] = _params_dict(config.model_y)
+        manifest["model_y"] = asdict(config.model_y)
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii")
     return artifacts + ["manifest.json"]
-
-
-def _params_dict(params: ModelParams) -> dict:
-    return {
-        "delta_a": params.delta_a, "delta_b": params.delta_b,
-        "f_dc": params.f_dc, "f_ac": params.f_ac, "omega": params.omega,
-        "v": params.v, "n_sites": params.n_sites,
-    }
-
-
-def _plan_dict(plan: EvolutionPlan | None):
-    if plan is None:
-        return None
-    return {
-        "dt": plan.dt, "n_steps": plan.n_steps, "stepper": plan.stepper,
-        "field_sampling": plan.field_sampling, "store_states": plan.store_states,
-    }
 
 
 # ---------------------------------------------------------------------------

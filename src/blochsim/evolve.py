@@ -41,14 +41,14 @@ class EvolutionPlan:
 
     def __post_init__(self) -> None:
         if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ValueError(f"dt: must be > 0, got {self.dt}")
         if self.n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
+            raise ValueError(f"n_steps: must be >= 0, got {self.n_steps}")
         if self.stepper not in STEPPERS:
-            raise ValueError(f"stepper must be one of {STEPPERS}, got {self.stepper!r}")
+            raise ValueError(f"stepper: must be one of {STEPPERS}, got {self.stepper!r}")
         if self.field_sampling not in FIELD_SAMPLINGS:
             raise ValueError(
-                f"field_sampling must be one of {FIELD_SAMPLINGS}, got {self.field_sampling!r}"
+                f"field_sampling: must be one of {FIELD_SAMPLINGS}, got {self.field_sampling!r}"
             )
 
     def sample_time(self, k: int) -> float:
@@ -59,13 +59,17 @@ class EvolutionPlan:
 
 
 class Trajectory:
-    """Recorded states on the step grid, index 0 holding the initial state."""
+    """Recorded states on the step grid, index 0 holding the initial state.
 
-    def __init__(self, times: np.ndarray, amplitudes: list[np.ndarray] | None,
-                 probabilities: np.ndarray, params: ModelParams, plan: EvolutionPlan):
+    ``states`` is one (T, dim) array: the amplitudes when the plan stores
+    states, otherwise the probabilities alone.
+    """
+
+    def __init__(self, times: np.ndarray, states: np.ndarray, params: ModelParams,
+                 plan: EvolutionPlan):
         self.times = times
-        self._amplitudes = amplitudes
-        self.probabilities = probabilities
+        self._states = states
+        self.probabilities = np.abs(states) ** 2 if plan.store_states else states
         self.params = params
         self.plan = plan
 
@@ -73,9 +77,9 @@ class Trajectory:
         return self.times.size
 
     def amplitudes(self, k: int) -> np.ndarray:
-        if self._amplitudes is None:
+        if not self.plan.store_states:
             raise ValueError("amplitudes were not stored (store_states=False)")
-        return self._amplitudes[k]
+        return self._states[k]
 
     def site_probability(self, *sites: int) -> np.ndarray:
         """Probability time series of one site (l) or one pair (l1, l2)."""
@@ -182,17 +186,14 @@ def run(initial, params: ModelParams, plan: EvolutionPlan) -> Trajectory:
 
     step = _make_stepper(params, plan, two_particle)
     times = np.arange(plan.n_steps + 1) * plan.dt
-    amplitudes = [psi.copy()] if plan.store_states else None
-    probabilities = np.empty((plan.n_steps + 1, psi.size))
-    probabilities[0] = np.abs(psi) ** 2
+    states = np.empty((plan.n_steps + 1, psi.size), dtype=complex if plan.store_states else float)
+    states[0] = psi if plan.store_states else np.abs(psi) ** 2
     for k in range(1, plan.n_steps + 1):
         psi = step(psi, k)
         if not np.all(np.isfinite(psi.view(float))):
             raise RuntimeError(f"non-finite amplitudes at step {k} (t={k * plan.dt})")
-        if plan.store_states:
-            amplitudes.append(psi.copy())
-        probabilities[k] = np.abs(psi) ** 2
-    return Trajectory(times, amplitudes, probabilities, params, plan)
+        states[k] = psi if plan.store_states else np.abs(psi) ** 2
+    return Trajectory(times, states, params, plan)
 
 
 def _make_stepper(params: ModelParams, plan: EvolutionPlan, two_particle: bool):

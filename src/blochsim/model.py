@@ -31,7 +31,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         if self.n_sites < 2 or self.n_sites % 2 != 0:
-            raise ValueError(f"n_sites must be even and >= 2, got {self.n_sites}")
+            raise ValueError(f"n_sites: must be even and >= 2, got {self.n_sites}")
 
     @property
     def gamma(self) -> int | None:

@@ -46,19 +46,29 @@ def two_particle_probability(state, l1: int, l2: int) -> float:
     return float(np.abs(amps[l1 * n + l2]) ** 2)
 
 
+def _sublattice_probability(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even- and odd-site sums of probabilities over the last axis."""
+    return np.sum(p[..., 0::2], axis=-1), np.sum(p[..., 1::2], axis=-1)
+
+
+def _sublattice_position(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(<l_A>, <l_B>, <l>) of probabilities over the last axis."""
+    l = np.arange(p.shape[-1])
+    l_a = 2.0 * np.sum(l[0::2] * p[..., 0::2], axis=-1)
+    l_b = 2.0 * np.sum(l[1::2] * p[..., 1::2], axis=-1)
+    return l_a, l_b, 0.5 * (l_a + l_b)
+
+
 def sublattice_probability(state) -> tuple[float, float]:
     """(sum of |psi|^2 over even sites, over odd sites)."""
-    p = site_probabilities(state)
-    return float(np.sum(p[0::2])), float(np.sum(p[1::2]))
+    prob_a, prob_b = _sublattice_probability(site_probabilities(state))
+    return float(prob_a), float(prob_b)
 
 
 def sublattice_position(state) -> tuple[float, float, float]:
     """(<l_A>, <l_B>, <l>) with the per-chain factor 2 and their plain mean."""
-    p = site_probabilities(state)
-    l = np.arange(p.size)
-    l_a = 2.0 * float(np.sum(l[0::2] * p[0::2]))
-    l_b = 2.0 * float(np.sum(l[1::2] * p[1::2]))
-    return l_a, l_b, 0.5 * (l_a + l_b)
+    l_a, l_b, mean = _sublattice_position(site_probabilities(state))
+    return float(l_a), float(l_b), float(mean)
 
 
 def momentum_grid(n_sites: int) -> np.ndarray:
@@ -219,23 +229,14 @@ class ObservableSeries:
 
 def position_series(traj) -> ObservableSeries:
     """(<l_A>, <l_B>, <l>) along a single-particle trajectory."""
-    rows = []
-    for k in range(len(traj)):
-        p = traj.probabilities[k]
-        l = np.arange(p.size)
-        l_a = 2.0 * np.sum(l[0::2] * p[0::2])
-        l_b = 2.0 * np.sum(l[1::2] * p[1::2])
-        rows.append((l_a, l_b, 0.5 * (l_a + l_b)))
-    return ObservableSeries("position", traj.times, np.array(rows), ("pos_a", "pos_b", "pos_mean"))
+    values = np.stack(_sublattice_position(traj.probabilities), axis=-1)
+    return ObservableSeries("position", traj.times, values, ("pos_a", "pos_b", "pos_mean"))
 
 
 def probability_series(traj) -> ObservableSeries:
     """Sublattice probability sums along a trajectory."""
-    rows = [
-        (np.sum(traj.probabilities[k][0::2]), np.sum(traj.probabilities[k][1::2]))
-        for k in range(len(traj))
-    ]
-    return ObservableSeries("probability", traj.times, np.array(rows), ("prob_a", "prob_b"))
+    values = np.stack(_sublattice_probability(traj.probabilities), axis=-1)
+    return ObservableSeries("probability", traj.times, values, ("prob_a", "prob_b"))
 
 
 def momentum_series(traj) -> ObservableSeries:

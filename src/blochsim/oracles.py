@@ -278,12 +278,3 @@ def uniform_chain_mean_position(psi0: np.ndarray, t, delta: float, f: float):
         return l0 - mag * delta * (t / 2.0) * math.sin(theta0)
     return l0 - mag * (delta / f) * np.sin(f * t / 2.0) * np.sin(theta0 + f * t / 2.0)
 
-
-def dump_matrix_csv(h: np.ndarray, path) -> None:
-    """Write a dense matrix as CSV rows (row, col, re, im)."""
-    h = np.asarray(h, dtype=complex)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("row,col,re,im\n")
-        for r in range(h.shape[0]):
-            for c in range(h.shape[1]):
-                fh.write(f"{r},{c},{float(h[r, c].real)!r},{float(h[r, c].imag)!r}\n")

@@ -5,7 +5,7 @@ with integer index l, little-endian: qubit 0 holds the least significant
 bit of l. Two-particle states use two registers of gamma qubits each with
 register 1 on the high bits, so the joint basis index is l1 * N + l2.
 
-Gates mutate amplitudes in place; use ``clone`` to keep a snapshot.
+Gates mutate amplitudes in place.
 """
 from __future__ import annotations
 
@@ -138,9 +138,6 @@ class Statevector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def clone(self) -> "Statevector":
-        return Statevector(self.num_registers, self.qubits_per_register, self.amplitudes)
-
     def probability(self, basis_index: int) -> float:
         if not 0 <= basis_index < self.dim:
             raise ValueError(f"basis index {basis_index} out of range [0, {self.dim})")
@@ -161,15 +158,6 @@ def new_basis_state(num_registers: int, qubits_per_register: int, basis_index: i
     amps = np.zeros(dim, dtype=complex)
     amps[basis_index] = 1.0
     return Statevector(num_registers, qubits_per_register, amps)
-
-
-def embed_product(a: Statevector, b: Statevector) -> Statevector:
-    """Two-register product state: amplitude[l1 * N + l2] = a[l1] * b[l2]."""
-    if a.num_registers != 1 or b.num_registers != 1:
-        raise ValueError("embed_product expects two single-register states")
-    if a.qubits_per_register != b.qubits_per_register:
-        raise ValueError("register sizes differ")
-    return Statevector(2, a.qubits_per_register, np.kron(a.amplitudes, b.amplitudes))
 
 
 def apply_gate_to_array(amps: np.ndarray, n_qubits: int, gate: Gate) -> None:
@@ -202,31 +190,3 @@ def apply_gate_to_array(amps: np.ndarray, n_qubits: int, gate: Gate) -> None:
     else:
         raise TypeError(f"unknown gate type {type(gate).__name__}")
 
-
-def apply_controlled(state: Statevector, gate: ControlledGate) -> Statevector:
-    """Apply a controlled gate in place and return the state."""
-    apply_gate_to_array(state.amplitudes, state.n_qubits, gate)
-    return state
-
-
-def apply_diagonal(state: Statevector, gate: DiagonalGate) -> Statevector:
-    """Apply a diagonal gate in place and return the state."""
-    apply_gate_to_array(state.amplitudes, state.n_qubits, gate)
-    return state
-
-
-def dump_amplitudes(state: Statevector, path) -> None:
-    """Write amplitudes as CSV rows (index, re, im) for golden-file checks."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("index,re,im\n")
-        for i, a in enumerate(state.amplitudes):
-            fh.write(f"{i},{float(a.real)!r},{float(a.imag)!r}\n")
-
-
-def load_amplitudes(path) -> np.ndarray:
-    """Read back a CSV written by ``dump_amplitudes``."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    amps = np.zeros(rows.shape[0], dtype=complex)
-    idx = rows[:, 0].astype(int)
-    amps[idx] = rows[:, 1] + 1j * rows[:, 2]
-    return amps

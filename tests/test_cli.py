@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from blochsim.cli import ConfigError, main, parse_config, run_scenario
+from blochsim.cli import SCENARIOS, ConfigError, main, parse_config, run_scenario
 
 MINIMAL = "[run]\nscenario = single-trotter\n"
 
@@ -70,7 +70,7 @@ class TestParsing:
         assert config.model.n_sites == 6
 
     def test_odd_chain_rejected(self):
-        with pytest.raises(ConfigError, match=r"model: n_sites must be even"):
+        with pytest.raises(ConfigError, match=r"model\.n_sites: must be even"):
             parse_config("[run]\nscenario = single-exact\n[model]\nn_sites = 5\n")
 
     def test_nonpositive_dt(self):
@@ -98,6 +98,8 @@ class TestParsing:
             parse_config("[run]\nscenario = dispersion\n[scenario]\nk_points = 1\n")
         with pytest.raises(ConfigError, match=r"scenario\.bands"):
             parse_config("[run]\nscenario = ladder\n[scenario]\nbands = up\n")
+        with pytest.raises(ConfigError, match=r"scenario\.t_end: unknown key"):
+            parse_config("[run]\nscenario = dim2\n[scenario]\nt_end = 0.5\n")
 
     def test_model_y_only_for_dim2(self):
         with pytest.raises(ConfigError, match=r"model_y"):
@@ -118,12 +120,13 @@ class TestScenarioArtifacts:
         assert manifest["initial"] == {"kind": "spike", "site": 2}
         assert manifest["outputs"] == ["trajectory.csv", "series.csv"]
 
-    def test_reruns_are_byte_identical(self, tmp_path):
-        config = parse_config(MINIMAL + "[plan]\nn_steps = 8\n")
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_reruns_are_byte_identical(self, tmp_path, scenario):
+        config = parse_config(f"[run]\nscenario = {scenario}\n")
         a, b = tmp_path / "a", tmp_path / "b"
-        run_scenario(config, a)
-        run_scenario(config, b)
-        for name in ("trajectory.csv", "series.csv", "manifest.json"):
+        names = run_scenario(config, a)
+        assert run_scenario(config, b) == names
+        for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_two_particle_trajectory(self, tmp_path):
@@ -175,6 +178,12 @@ class TestScenarioArtifacts:
         assert report["reference_counts_3q"] == {"depth": 25, "u1": 4, "u3": 13, "cx": 14}
         qasm = (tmp_path / "circuit.qasm").read_text()
         assert qasm.startswith("OPENQASM 2.0;")
+
+    def test_transpile_report_compares_only_three_qubits_to_reference(self, tmp_path):
+        run_scenario(parse_config("[run]\nscenario = transpile-report\n"), tmp_path)
+        report = json.loads((tmp_path / "counts.json").read_text())
+        assert report["qubits"] == 2
+        assert set(report) == {"qubits", "counts"}
 
     def test_bessel_check(self, tmp_path):
         config = parse_config("[run]\nscenario = bessel-check\n")
@@ -228,6 +237,20 @@ class TestMain:
         )
         assert code == 2
         assert "model.wrong_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, override", [
+        (MINIMAL, "model.delta_a=nan"),
+        (MINIMAL, "model.f_dc=inf"),
+        (MINIMAL, "plan.dt=nan"),
+        (MINIMAL, "plan.field_sampling=start"),
+        (MINIMAL, "plan.store_states=false"),
+        ("[run]\nscenario = spectrum\n", "scenario.f_values=0, inf"),
+    ])
+    def test_bad_value_exits_two_with_section_key(self, tmp_path, capsys, text, override):
+        code, _ = _run_main(tmp_path, text, "--override", override)
+        assert code == 2
+        location = override.split("=", 1)[0]
+        assert capsys.readouterr().err.startswith(f"config error: {location}: ")
 
     def test_malformed_override(self, tmp_path, capsys):
         code, _ = _run_main(tmp_path, MINIMAL, "--override", "delta_a=3")

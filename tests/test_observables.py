@@ -173,6 +173,17 @@ class TestSeries:
                 pos.values[k], sublattice_position(traj.amplitudes(k)), atol=1e-12
             )
 
+    @pytest.mark.parametrize("n_sites", [4, 64, 256])
+    def test_series_equal_the_per_state_functions_exactly(self, n_sites):
+        p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, n_sites=n_sites)
+        traj = run(initial_amplitudes("gaussian", p), p,
+                   EvolutionPlan(dt=0.01, n_steps=500, stepper="exact-dense"))
+        rows = [traj.amplitudes(k) for k in range(len(traj))]
+        np.testing.assert_array_equal(position_series(traj).values,
+                                      [sublattice_position(a) for a in rows])
+        np.testing.assert_array_equal(probability_series(traj).values,
+                                      [sublattice_probability(a) for a in rows])
+
     def test_probability_series_sums_to_one(self):
         prob = probability_series(self._demo_traj())
         np.testing.assert_allclose(prob.values.sum(axis=1), 1.0, atol=1e-12)

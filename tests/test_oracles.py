@@ -15,7 +15,6 @@ from blochsim.oracles import (
     dense_intra_hop,
     dense_propagator,
     dense_two_particle_hamiltonian,
-    dump_matrix_csv,
     spin_chain_sector_bruteforce,
     spin_chain_sector_hamiltonian,
     uniform_chain_mean_position,
@@ -209,13 +208,3 @@ class TestSpinChainSector:
     def test_bad_boundary(self):
         with pytest.raises(ValueError, match="boundary"):
             spin_chain_sector_hamiltonian(DEMO, boundary="twisted")
-
-
-def test_dump_matrix_csv_round_trip(tmp_path):
-    h = dense_hamiltonian(DEMO, 0.2)
-    path = tmp_path / "h.csv"
-    dump_matrix_csv(h, path)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    rebuilt = np.zeros((4, 4), dtype=complex)
-    rebuilt[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2] + 1j * rows[:, 3]
-    np.testing.assert_allclose(rebuilt, h, atol=0)

@@ -6,12 +6,7 @@ from blochsim.statevector import (
     ControlledGate,
     DiagonalGate,
     Statevector,
-    apply_controlled,
-    apply_diagonal,
     apply_gate_to_array,
-    dump_amplitudes,
-    embed_product,
-    load_amplitudes,
     new_basis_state,
 )
 
@@ -67,13 +62,6 @@ class TestStatevector:
         with pytest.raises(ValueError, match="num_registers"):
             Statevector(3, 1, np.ones(8) / np.sqrt(8))
 
-    def test_probability_and_clone(self):
-        sv = new_basis_state(1, 2, 1)
-        assert sv.probability(1) == 1.0
-        twin = sv.clone()
-        twin.amplitudes[:] = 0.5
-        assert sv.probability(1) == 1.0  # clone is a deep copy
-
     def test_probability_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
             new_basis_state(1, 2, 0).probability(4)
@@ -82,35 +70,38 @@ class TestStatevector:
 class TestLittleEndian:
     def test_x_on_qubit0_swaps_adjacent_indices(self):
         sv = new_basis_state(1, 2, 0)
-        apply_controlled(sv, ControlledGate(target=0, unitary=_X))
+        apply_gate_to_array(sv.amplitudes, sv.n_qubits, ControlledGate(target=0, unitary=_X))
         assert sv.probability(1) == 1.0
 
     def test_x_on_qubit1_jumps_by_two(self):
         sv = new_basis_state(1, 2, 0)
-        apply_controlled(sv, ControlledGate(target=1, unitary=_X))
+        apply_gate_to_array(sv.amplitudes, sv.n_qubits, ControlledGate(target=1, unitary=_X))
         assert sv.probability(2) == 1.0
 
     def test_site_index_is_basis_index(self):
         # site 5 on an 8-site chain is |101> with qubit 0 = LSB
         sv = new_basis_state(1, 3, 5)
-        apply_controlled(sv, ControlledGate(target=2, unitary=_X))
+        apply_gate_to_array(sv.amplitudes, sv.n_qubits, ControlledGate(target=2, unitary=_X))
         assert sv.probability(1) == 1.0  # cleared the 4-bit
 
 
 class TestControlledGate:
     def test_filled_control_fires_on_one(self):
         sv = new_basis_state(1, 2, 1)  # qubit 0 set
-        apply_controlled(sv, ControlledGate(target=1, unitary=_X, controls=((0, 1),)))
+        apply_gate_to_array(sv.amplitudes, sv.n_qubits,
+                            ControlledGate(target=1, unitary=_X, controls=((0, 1),)))
         assert sv.probability(3) == 1.0
 
     def test_filled_control_idle_on_zero(self):
         sv = new_basis_state(1, 2, 0)
-        apply_controlled(sv, ControlledGate(target=1, unitary=_X, controls=((0, 1),)))
+        apply_gate_to_array(sv.amplitudes, sv.n_qubits,
+                            ControlledGate(target=1, unitary=_X, controls=((0, 1),)))
         assert sv.probability(0) == 1.0
 
     def test_open_control_fires_on_zero(self):
         sv = new_basis_state(1, 2, 0)
-        apply_controlled(sv, ControlledGate(target=1, unitary=_X, controls=((0, 0),)))
+        apply_gate_to_array(sv.amplitudes, sv.n_qubits,
+                            ControlledGate(target=1, unitary=_X, controls=((0, 0),)))
         assert sv.probability(2) == 1.0
 
     def test_non_unitary_rejected(self):
@@ -154,19 +145,21 @@ class TestControlledGate:
 class TestDiagonalGate:
     def test_single_qubit_phase(self):
         sv = new_basis_state(1, 2, 2)  # qubit 1 set
-        apply_diagonal(sv, DiagonalGate(qubits=(1,), diagonal=np.array([1.0, 1j])))
+        apply_gate_to_array(sv.amplitudes, sv.n_qubits,
+                            DiagonalGate(qubits=(1,), diagonal=np.array([1.0, 1j])))
         assert sv.amplitudes[2] == pytest.approx(1j)
 
     def test_subindex_ordering(self):
         # qubits (2, 0): sub-index j = bit2 + 2*bit0; basis 5 = |101> -> j = 1 + 2*1 = 3
         diag = np.array([1.0, 1j, -1.0, -1j])
         sv = new_basis_state(1, 3, 5)
-        apply_diagonal(sv, DiagonalGate(qubits=(2, 0), diagonal=diag))
+        apply_gate_to_array(sv.amplitudes, sv.n_qubits, DiagonalGate(qubits=(2, 0), diagonal=diag))
         assert sv.amplitudes[5] == pytest.approx(-1j)
 
     def test_empty_qubits_is_global_phase(self):
         sv = new_basis_state(1, 2, 1)
-        apply_diagonal(sv, DiagonalGate(qubits=(), diagonal=np.array([np.exp(0.5j)])))
+        apply_gate_to_array(sv.amplitudes, sv.n_qubits,
+                            DiagonalGate(qubits=(), diagonal=np.array([np.exp(0.5j)])))
         assert sv.amplitudes[1] == pytest.approx(np.exp(0.5j))
 
     def test_nonunit_modulus_rejected(self):
@@ -207,27 +200,3 @@ class TestComposite:
                                       controls=controls)
             apply_gate_to_array(psi, 4, gate)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-
-    def test_embed_product_index_convention(self):
-        rng = np.random.default_rng(14)
-        a = Statevector(1, 2, _random_state(rng, 2))
-        b = Statevector(1, 2, _random_state(rng, 2))
-        joint = embed_product(a, b)
-        n = 4
-        for l1 in range(n):
-            for l2 in range(n):
-                assert joint.amplitudes[l1 * n + l2] == pytest.approx(
-                    a.amplitudes[l1] * b.amplitudes[l2]
-                )
-
-    def test_embed_product_rejects_mixed_sizes(self):
-        with pytest.raises(ValueError, match="register"):
-            embed_product(new_basis_state(1, 2, 0), new_basis_state(1, 3, 0))
-
-    def test_dump_load_round_trip(self, tmp_path):
-        rng = np.random.default_rng(15)
-        sv = Statevector(1, 3, _random_state(rng, 3))
-        path = tmp_path / "amps.csv"
-        dump_amplitudes(sv, path)
-        back = load_amplitudes(path)
-        np.testing.assert_allclose(back, sv.amplitudes, atol=0)
