@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
+from .oracles import check_dense_dim
 from .statevector import (
     ControlledGate,
     DiagonalGate,
@@ -70,16 +71,17 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the circuit, one basis-state application per column."""
+    """Dense unitary of the circuit.
+
+    The rows of the identity are the basis states; each gate is applied
+    once to all of them, and row j ends as column j of the unitary.
+    """
     dim = 2 ** circuit.qubit_count
-    u = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[col] = 1.0
-        for op in circuit.ops:
-            apply_gate_to_array(amps, circuit.qubit_count, op)
-        u[:, col] = amps
-    return u
+    check_dense_dim(dim)
+    rows = np.eye(dim, dtype=complex)
+    for op in circuit.ops:
+        apply_gate_to_array(rows, circuit.qubit_count, op)
+    return rows.T
 
 
 def _mix_gate(delta: float, dt: float, label: str) -> ControlledGate:

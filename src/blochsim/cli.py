@@ -30,7 +30,7 @@ from . import __version__
 from .model import ModelParams
 from .evolve import EvolutionPlan, initial_amplitudes, run, write_trajectory_csv
 from . import observables as obs
-from .oracles import bessel_jn_sequence, dense_2d_hamiltonian, dense_hamiltonian
+from .oracles import bessel_jn_sequence, check_dense_dim, dense_2d_hamiltonian, dense_hamiltonian
 from .circuits import build_trotter_step, build_two_particle_step
 from .transpile import REFERENCE_STEP_COUNTS_3Q, count, decompose, emit_qasm
 
@@ -397,6 +397,12 @@ def parse_config(text: str) -> RunConfig:
         initial = _initial_from(init_sec, scenario, entry)
     elif init_sec.raw:
         _fail("initial", sorted(init_sec.raw)[0], f"scenario {scenario} takes no initial state")
+    if plan is not None and plan.stepper == "exact-dense":
+        particles = 2 if initial["kind"] == "spike2" else 1
+        try:
+            check_dense_dim(model.n_sites ** particles)
+        except ValueError as exc:
+            _fail("model", "n_sites", str(exc))
 
     extras_sec = _Section(parser, "scenario", entry.extra_keys)
     extras = entry.extras(extras_sec, plan_sec) if entry.extras else {}

@@ -28,6 +28,11 @@ from .statevector import Statevector, apply_gate_to_array
 STEPPERS = ("trotter1", "exact-dense", "ode-rk4")
 FIELD_SAMPLINGS = ("end", "midpoint")
 
+#: Largest change of the state norm a run tolerates: unitary steppers keep
+#: it to round-off; explicit RK4 drifts, and blows up past its stability limit.
+UNITARY_NORM_TOL = 1e-8
+ODE_NORM_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class EvolutionPlan:
@@ -185,13 +190,19 @@ def run(initial, params: ModelParams, plan: EvolutionPlan) -> Trajectory:
         raise ValueError(f"state length {psi.size} matches neither {n} nor {n * n}")
 
     step = _make_stepper(params, plan, two_particle)
+    ode = plan.stepper == "ode-rk4"
+    tol = ODE_NORM_TOL if ode else UNITARY_NORM_TOL
+    norm0 = np.linalg.norm(psi)
     times = np.arange(plan.n_steps + 1) * plan.dt
     states = np.empty((plan.n_steps + 1, psi.size), dtype=complex if plan.store_states else float)
     states[0] = psi if plan.store_states else np.abs(psi) ** 2
     for k in range(1, plan.n_steps + 1):
         psi = step(psi, k)
-        if not np.all(np.isfinite(psi.view(float))):
-            raise RuntimeError(f"non-finite amplitudes at step {k} (t={k * plan.dt})")
+        drift = abs(np.linalg.norm(psi) - norm0)
+        if not drift <= tol:  # also true for NaN and inf
+            hint = "; lower plan.dt, explicit RK4 is unstable past |H| dt of about 2.8"
+            raise RuntimeError(f"norm drift {drift:.3e} exceeds {tol:g} at step {k} "
+                               f"(t={k * plan.dt}){hint if ode else ''}")
         states[k] = psi if plan.store_states else np.abs(psi) ** 2
     return Trajectory(times, states, params, plan)
 

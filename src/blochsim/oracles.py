@@ -20,10 +20,23 @@ from .model import ModelParams
 
 HERMITICITY_TOL = 1e-12
 
+#: Largest dense (dim, dim) complex matrix built anywhere: 8192**2 * 16 B = 1 GiB.
+DENSE_DIM_MAX = 8192
+
+
+def check_dense_dim(dim: int) -> None:
+    """Refuse a dense (dim, dim) complex128 matrix above ``DENSE_DIM_MAX``."""
+    if dim > DENSE_DIM_MAX:
+        raise ValueError(
+            f"a dense {dim}x{dim} complex matrix needs {dim * dim * 16} bytes; "
+            f"the limit is dimension {DENSE_DIM_MAX} ({DENSE_DIM_MAX ** 2 * 16} bytes)"
+        )
+
 
 def dense_intra_hop(params: ModelParams) -> np.ndarray:
     """Hopping on the (2n, 2n+1) bonds, matrix element -delta_a/4."""
     n = params.n_sites
+    check_dense_dim(n)
     h = np.zeros((n, n), dtype=complex)
     for m in range(n // 2):
         h[2 * m, 2 * m + 1] += -params.delta_a / 4.0
@@ -34,6 +47,7 @@ def dense_intra_hop(params: ModelParams) -> np.ndarray:
 def dense_inter_hop(params: ModelParams) -> np.ndarray:
     """Hopping on the (2n+1, 2n+2) bonds with the periodic wrap to site 0."""
     n = params.n_sites
+    check_dense_dim(n)
     h = np.zeros((n, n), dtype=complex)
     for m in range(n // 2):
         lo = 2 * m + 1
@@ -46,6 +60,7 @@ def dense_inter_hop(params: ModelParams) -> np.ndarray:
 def dense_field(params: ModelParams, t: float = 0.0) -> np.ndarray:
     """Diagonal tilt F(t) * l."""
     n = params.n_sites
+    check_dense_dim(n)
     return np.diag(params.field(t) * np.arange(n)).astype(complex)
 
 
@@ -61,6 +76,7 @@ def dense_two_particle_hamiltonian(params: ModelParams, t: float = 0.0) -> np.nd
     interaction adds v on the coincidence diagonal l1 == l2.
     """
     n = params.n_sites
+    check_dense_dim(n * n)
     h1 = dense_hamiltonian(params, t)
     eye = np.eye(n)
     h = np.kron(h1, eye) + np.kron(eye, h1)
@@ -71,6 +87,7 @@ def dense_two_particle_hamiltonian(params: ModelParams, t: float = 0.0) -> np.nd
 
 def dense_2d_hamiltonian(params_x: ModelParams, params_y: ModelParams, t: float = 0.0) -> np.ndarray:
     """Separable two-axis extension H_x (+) H_y as a Kronecker sum."""
+    check_dense_dim(params_x.n_sites * params_y.n_sites)
     hx = dense_hamiltonian(params_x, t)
     hy = dense_hamiltonian(params_y, t)
     return np.kron(hx, np.eye(params_y.n_sites)) + np.kron(np.eye(params_x.n_sites), hy)
@@ -106,6 +123,7 @@ def spin_chain_sector_hamiltonian(
     if boundary not in ("periodic", "open"):
         raise ValueError(f"boundary must be 'periodic' or 'open', got {boundary!r}")
     n = params.n_sites
+    check_dense_dim(n)
     h = np.zeros((n, n), dtype=complex)
     for m in range(n // 2):
         h[2 * m, 2 * m + 1] += -params.delta_a / 4.0

@@ -160,33 +160,97 @@ def new_basis_state(num_registers: int, qubits_per_register: int, basis_index: i
     return Statevector(num_registers, qubits_per_register, amps)
 
 
+def _runs(qubits) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive qubits as (lowest qubit, width), highest first."""
+    runs: list[tuple[int, int]] = []
+    for q in sorted(qubits, reverse=True):
+        if runs and runs[-1][0] == q + 1:
+            runs[-1] = (q, runs[-1][1] + 1)
+        else:
+            runs.append((q, 1))
+    return runs
+
+
+def _run_view(amps: np.ndarray, n_qubits: int, runs) -> tuple[np.ndarray, list[int]]:
+    """View the last axis of ``amps`` with one axis per run of qubits.
+
+    The last axis is split in C order, highest qubit first, so a run
+    (low, width) becomes an axis of size 2**width indexed by bits
+    low .. low+width-1 of the basis index. Each gap between runs becomes
+    one axis too. ``runs`` must be disjoint and sorted highest first.
+    Returns the view and the axis of each run.
+    """
+    shape = list(amps.shape[:-1])
+    axes = []
+    top = n_qubits
+    for low, width in runs:
+        if top > low + width:
+            shape.append(1 << (top - low - width))
+        axes.append(len(shape))
+        shape.append(1 << width)
+        top = low
+    if top:
+        shape.append(1 << top)
+    return amps.reshape(shape), axes
+
+
 def apply_gate_to_array(amps: np.ndarray, n_qubits: int, gate: Gate) -> None:
-    """Apply one gate in place to a raw amplitude array of 2**n_qubits entries."""
-    if isinstance(gate, ControlledGate):
-        if gate.target >= n_qubits or any(q >= n_qubits for q, _ in gate.controls):
-            raise ValueError(f"gate acts on qubits outside the {n_qubits}-qubit register")
-        idx = np.arange(amps.size)
-        sel = ((idx >> gate.target) & 1) == 0
-        for q, pol in gate.controls:
-            sel &= ((idx >> q) & 1) == pol
-        i0 = np.nonzero(sel)[0]
-        i1 = i0 | (1 << gate.target)
-        u = gate.unitary
-        a0 = amps[i0]
-        a1 = amps[i1]
-        amps[i0] = u[0, 0] * a0 + u[0, 1] * a1
-        amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
-    elif isinstance(gate, DiagonalGate):
-        if any(q >= n_qubits for q in gate.qubits):
-            raise ValueError(f"gate acts on qubits outside the {n_qubits}-qubit register")
-        if not gate.qubits:
+    """Apply one gate in place along the last axis of ``amps``.
+
+    ``amps`` has shape (..., 2**n_qubits); every leading index is an
+    independent state, so a (dim, dim) array of basis rows is transformed
+    row by row in one call. The array must be C-contiguous: the gate
+    writes through a reshaped view, and a copy would take the result.
+    """
+    if not isinstance(gate, (ControlledGate, DiagonalGate)):
+        raise TypeError(f"unknown gate type {type(gate).__name__}")
+    qubits = gate.qubits
+    if any(q >= n_qubits for q in qubits):
+        raise ValueError(f"gate acts on qubits outside the {n_qubits}-qubit register")
+    if amps.shape[-1:] != (1 << n_qubits,):
+        raise ValueError(f"last axis of shape {amps.shape} is not 2**{n_qubits}")
+    if not amps.flags.c_contiguous:
+        raise ValueError("amplitudes must be C-contiguous to be updated in place")
+
+    if isinstance(gate, DiagonalGate):
+        if not qubits:
             amps *= gate.diagonal[0]
             return
-        idx = np.arange(amps.size)
-        sub = np.zeros_like(idx)
-        for j, q in enumerate(gate.qubits):
-            sub |= ((idx >> q) & 1) << j
-        amps *= gate.diagonal[sub]
-    else:
-        raise TypeError(f"unknown gate type {type(gate).__name__}")
+        runs = _runs(qubits)
+        view, axes = _run_view(amps, n_qubits, runs)
+        # diagonal[j] has qubits[0] as its lowest bit; order its axes highest
+        # qubit first, as in the view, then merge each run into one axis
+        m = len(qubits)
+        by_qubit = sorted(range(m), key=lambda j: -qubits[j])
+        phases = gate.diagonal.reshape((2,) * m).transpose([m - 1 - j for j in by_qubit])
+        shape = [1] * view.ndim
+        for axis, (_, width) in zip(axes, runs):
+            shape[axis] = 1 << width
+        view *= phases.reshape(shape)
+        return
 
+    # each run of controls is one axis, fixed at the index its polarities spell
+    polarity = dict(gate.controls)
+    runs = sorted(_runs(polarity) + [(gate.target, 1)], reverse=True)
+    view, axes = _run_view(amps, n_qubits, runs)
+    index = [slice(None)] * view.ndim
+    for axis, (low, width) in zip(axes, runs):
+        if low == gate.target:
+            target_axis = axis
+        else:
+            fixed = sum(polarity[q] << (q - low) for q in range(low, low + width))
+            # a length-1 slice, not an integer, so a0 and a1 stay array views
+            index[axis] = slice(fixed, fixed + 1)
+    index[target_axis] = slice(0, 1)
+    a0 = view[tuple(index)]
+    index[target_axis] = slice(1, 2)
+    a1 = view[tuple(index)]
+    u = gate.unitary
+    # a0' = u00*a0 + u01*a1 and a1' = u10*a0 + u11*a1, with two temporaries
+    b0 = u[0, 0] * a0
+    t = u[0, 1] * a1
+    b0 += t
+    np.multiply(u[1, 0], a0, out=t)
+    np.multiply(u[1, 1], a1, out=a1)
+    np.add(t, a1, out=a1)
+    a0[...] = b0

@@ -17,6 +17,7 @@ import numpy as np
 
 from .statevector import ControlledGate, DiagonalGate, apply_gate_to_array
 from .circuits import Circuit
+from .oracles import check_dense_dim
 
 __all__ = [
     "U1Gate",
@@ -340,15 +341,16 @@ def _as_gate(op: BasisOp) -> ControlledGate | DiagonalGate:
 
 
 def basis_unitary(circuit: BasisCircuit) -> np.ndarray:
-    """Full matrix of a basis circuit, including its global phase."""
+    """Full matrix of a basis circuit, including its global phase.
+
+    Built like ``circuit_unitary``: each gate once on the identity's rows.
+    """
     dim = 2 ** circuit.qubit_count
-    u = np.eye(dim, dtype=complex)
-    gates = [_as_gate(op) for op in circuit.ops]
-    for col in range(dim):
-        amps = u[:, col]
-        for gate in gates:
-            apply_gate_to_array(amps, circuit.qubit_count, gate)
-    return u * np.exp(1j * circuit.global_phase)
+    check_dense_dim(dim)
+    rows = np.eye(dim, dtype=complex)
+    for op in circuit.ops:
+        apply_gate_to_array(rows, circuit.qubit_count, _as_gate(op))
+    return rows.T * np.exp(1j * circuit.global_phase)
 
 
 def equivalent_up_to_phase(u_a: np.ndarray, u_b: np.ndarray, tol: float = 1e-10) -> bool:

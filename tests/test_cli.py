@@ -252,6 +252,29 @@ class TestMain:
         location = override.split("=", 1)[0]
         assert capsys.readouterr().err.startswith(f"config error: {location}: ")
 
+    def test_rk4_blow_up_exits_nonzero(self, tmp_path, capsys):
+        code, _ = _run_main(
+            tmp_path, "[run]\nscenario = single-ode\n[model]\nn_sites = 256\n"
+            "[plan]\ndt = 0.01\nn_steps = 500\n[initial]\nkind = gaussian\n",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "norm drift" in err and "plan.dt" in err
+
+    @pytest.mark.parametrize("text", [
+        "[run]\nscenario = two-particle\n[model]\nn_sites = 128\n[plan]\nstepper = exact-dense\n",
+        "[run]\nscenario = single-exact\n[model]\nn_sites = 8194\n",
+    ])
+    def test_dense_size_guard_exits_two(self, tmp_path, capsys, text):
+        code, _ = _run_main(tmp_path, text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.n_sites: ") and "bytes" in err
+
+    def test_dense_size_guard_spares_trotter(self):
+        text = "[run]\nscenario = two-particle\n[model]\nn_sites = 128\n"
+        assert parse_config(text).plan.stepper == "trotter1"
+
     def test_malformed_override(self, tmp_path, capsys):
         code, _ = _run_main(tmp_path, MINIMAL, "--override", "delta_a=3")
         assert code == 2

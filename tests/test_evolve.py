@@ -117,6 +117,33 @@ class TestSteppers:
         traj = run(psi0, DEMO, EvolutionPlan(dt=0.01, n_steps=100, stepper="ode-rk4"))
         assert abs(np.linalg.norm(traj.amplitudes(100)) - 1.0) < 1e-8
 
+    def test_rk4_blow_up_raises_with_step_and_hint(self):
+        # |H| dt is about 3.8 at N=256, past explicit RK4's stability limit
+        p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, n_sites=256)
+        with pytest.raises(RuntimeError, match=r"norm drift .* at step \d+ \(t=.*plan\.dt"):
+            run(initial_amplitudes("gaussian", p), p,
+                EvolutionPlan(dt=0.01, n_steps=500, stepper="ode-rk4"))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("damage", [
+        lambda amps: amps.__imul__(1.0 + 1e-7),
+        lambda amps: amps.__setitem__(0, np.nan),
+        lambda amps: amps.__setitem__(0, np.inf),
+    ])
+    def test_unitary_stepper_norm_guard(self, monkeypatch, damage):
+        import blochsim.evolve as evolve
+
+        kernel = evolve.apply_gate_to_array
+
+        def leaky(amps, n_qubits, gate):
+            kernel(amps, n_qubits, gate)
+            damage(amps)
+
+        monkeypatch.setattr(evolve, "apply_gate_to_array", leaky)
+        with pytest.raises(RuntimeError, match=r"norm drift .* exceeds 1e-08 at step 1 ") as info:
+            run(initial_amplitudes("spike", DEMO, 2), DEMO, EvolutionPlan(dt=0.05, n_steps=3))
+        assert "plan.dt" not in str(info.value)
+
     def test_unitary_steppers_preserve_norm(self):
         psi0 = initial_amplitudes("spike", DEMO, 2)
         for stepper in ("trotter1", "exact-dense"):

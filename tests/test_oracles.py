@@ -6,8 +6,10 @@ from scipy.special import jv
 
 from blochsim.model import ModelParams
 from blochsim.oracles import (
+    DENSE_DIM_MAX,
     bessel_jn,
     bessel_jn_sequence,
+    check_dense_dim,
     dense_2d_hamiltonian,
     dense_field,
     dense_hamiltonian,
@@ -74,6 +76,26 @@ class TestDenseMatrices:
             np.eye(4), dense_hamiltonian(py)
         )
         np.testing.assert_allclose(h, expected, atol=0)
+
+
+class TestDenseSizeGuard:
+    def test_cap_is_one_gib(self):
+        assert DENSE_DIM_MAX ** 2 * 16 == 2 ** 30
+        check_dense_dim(DENSE_DIM_MAX)
+        with pytest.raises(ValueError, match=r"8193x8193 complex matrix needs 1074003984 bytes"):
+            check_dense_dim(DENSE_DIM_MAX + 1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: dense_hamiltonian(ModelParams(delta_a=1.0, delta_b=1.0, n_sites=8194)),
+        lambda: dense_intra_hop(ModelParams(delta_a=1.0, delta_b=1.0, n_sites=8194)),
+        lambda: dense_two_particle_hamiltonian(ModelParams(delta_a=1.0, delta_b=1.0, n_sites=128)),
+        lambda: dense_2d_hamiltonian(ModelParams(delta_a=1.0, delta_b=1.0, n_sites=128),
+                                     ModelParams(delta_a=1.0, delta_b=1.0, n_sites=128)),
+        lambda: spin_chain_sector_hamiltonian(ModelParams(delta_a=1.0, delta_b=1.0, n_sites=8194)),
+    ])
+    def test_builders_refuse_before_allocating(self, build):
+        with pytest.raises(ValueError, match="bytes"):
+            build()
 
 
 class TestPropagator:

@@ -1,13 +1,25 @@
 """Bit-indexed state storage and gate application."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blochsim.circuits import Circuit, build_two_particle_step, circuit_unitary
+from blochsim.model import ModelParams
 from blochsim.statevector import (
     ControlledGate,
     DiagonalGate,
     Statevector,
     apply_gate_to_array,
     new_basis_state,
+)
+from blochsim.transpile import (
+    BasisCircuit,
+    CXGate,
+    U1Gate,
+    U3Gate,
+    basis_unitary,
+    decompose,
 )
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -200,3 +212,148 @@ class TestComposite:
                                       controls=controls)
             apply_gate_to_array(psi, 4, gate)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+
+
+# --- property tests: the kernel against per-basis-index dense matrices -----
+
+
+def _dense_diagonal(gate: DiagonalGate, n_qubits: int) -> np.ndarray:
+    """Independent dense build: look up each basis index's sub-index."""
+    entries = []
+    for j in range(2 ** n_qubits):
+        sub = sum(((j >> q) & 1) << k for k, q in enumerate(gate.qubits))
+        entries.append(gate.diagonal[sub])
+    return np.diag(entries)
+
+
+@st.composite
+def _gate_on(draw, n_qubits: int):
+    """A random controlled gate (0 to n-1 controls) or diagonal gate (any subset)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        qubits = draw(st.permutations(range(n_qubits)))
+        k = draw(st.integers(0, n_qubits - 1))
+        polarities = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+        return ControlledGate(target=qubits[0], unitary=_random_unitary_2x2(rng),
+                              controls=tuple(zip(qubits[1:k + 1], polarities)))
+    qubits = tuple(draw(st.lists(st.integers(0, n_qubits - 1), unique=True, max_size=n_qubits)))
+    return DiagonalGate(qubits, np.exp(1j * rng.uniform(0, 2 * np.pi, 2 ** len(qubits))))
+
+
+@st.composite
+def _gates(draw):
+    """(n_qubits, gate, seed for the states it is applied to)."""
+    n = draw(st.integers(1, 7))
+    return n, draw(_gate_on(n)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _dense(gate, n_qubits: int) -> np.ndarray:
+    if isinstance(gate, ControlledGate):
+        return _dense_controlled(gate, n_qubits)
+    return _dense_diagonal(gate, n_qubits)
+
+
+class TestKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_gates())
+    def test_one_state_matches_dense_matrix(self, case):
+        n, gate, seed = case
+        psi = _random_state(np.random.default_rng(seed), n)
+        got = psi.copy()
+        apply_gate_to_array(got, n, gate)
+        np.testing.assert_allclose(got, _dense(gate, n) @ psi, rtol=0, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_gates(), st.integers(1, 4))
+    def test_batch_rows_match_dense_matrix(self, case, rows):
+        n, gate, seed = case
+        rng = np.random.default_rng(seed)
+        batch = np.array([_random_state(rng, n) for _ in range(rows)])
+        got = batch.copy()
+        apply_gate_to_array(got, n, gate)
+        np.testing.assert_allclose(got, batch @ _dense(gate, n).T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("amps", [
+        np.eye(8, dtype=complex)[:, 3],   # one column of a matrix
+        np.ones(16, dtype=complex)[::2],  # every other amplitude
+        np.eye(8, dtype=complex).T,       # a transposed batch
+    ])
+    def test_non_contiguous_input_rejected(self, amps):
+        with pytest.raises(ValueError, match="contiguous"):
+            apply_gate_to_array(amps, 3, ControlledGate(target=0, unitary=_X))
+
+
+# --- whole-identity unitaries against a column-by-column build -------------
+
+
+def _columnwise_unitary(n_qubits: int, gates, columns=None) -> np.ndarray:
+    """Reference: each basis state pushed through every gate on its own.
+
+    Returns the requested columns of the unitary (all of them by default).
+    """
+    dim = 2 ** n_qubits
+    columns = range(dim) if columns is None else columns
+    u = np.zeros((dim, len(columns)), dtype=complex)
+    for k, col in enumerate(columns):
+        amps = np.zeros(dim, dtype=complex)
+        amps[col] = 1.0
+        for gate in gates:
+            apply_gate_to_array(amps, n_qubits, gate)
+        u[:, k] = amps
+    return u
+
+
+def _basis_gates(basis):
+    """Kernel gates for the ops of a basis circuit, written out independently."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    for op in basis.ops:
+        if isinstance(op, U1Gate):
+            yield DiagonalGate((op.qubit,), np.diag(op.matrix()))
+        elif isinstance(op, U3Gate):
+            yield ControlledGate(op.qubit, op.matrix())
+        else:
+            assert isinstance(op, CXGate)
+            yield ControlledGate(op.target, x, controls=((op.control, 1),))
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(1, 5))
+    return Circuit(n, tuple(draw(st.lists(_gate_on(n), max_size=8))))
+
+
+class TestUnitaries:
+    @settings(max_examples=60, deadline=None)
+    @given(_circuits())
+    def test_circuit_unitary_matches_columns(self, circuit):
+        np.testing.assert_allclose(
+            circuit_unitary(circuit), _columnwise_unitary(circuit.qubit_count, circuit.ops),
+            rtol=0, atol=1e-12,
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(_circuits())
+    def test_basis_unitary_matches_columns(self, circuit):
+        basis = decompose(circuit)
+        expected = _columnwise_unitary(basis.qubit_count, list(_basis_gates(basis)))
+        np.testing.assert_allclose(basis_unitary(basis), expected * np.exp(1j * basis.global_phase),
+                                   rtol=0, atol=1e-12)
+
+    def test_size_guard(self):
+        with pytest.raises(ValueError, match="16384x16384"):
+            circuit_unitary(Circuit(14, ()))
+        with pytest.raises(ValueError, match="16384x16384"):
+            basis_unitary(BasisCircuit(14, ()))
+
+    def test_two_particle_step_matches_columns(self):
+        params = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, v=2.0, n_sites=16)
+        step = build_two_particle_step(params, 0.02, 0.02)
+        assert step.qubit_count == 8
+        np.testing.assert_allclose(circuit_unitary(step), _columnwise_unitary(8, step.ops),
+                                   rtol=0, atol=1e-12)
+        # the lowered step has 549 ops; every 15th column keeps the reference quick
+        columns = range(0, 256, 15)
+        basis = decompose(step)
+        expected = _columnwise_unitary(8, list(_basis_gates(basis)), columns)
+        np.testing.assert_allclose(basis_unitary(basis)[:, columns],
+                                   expected * np.exp(1j * basis.global_phase), rtol=0, atol=1e-12)
