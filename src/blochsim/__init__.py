@@ -28,7 +28,7 @@ from .circuits import (
     build_two_particle_step,
     circuit_unitary,
 )
-from .evolve import EvolutionPlan, Trajectory, initial_amplitudes, make_initial, run
+from .evolve import EvolutionPlan, Trajectory, initial_amplitudes, run
 from .observables import (
     LadderSpectrum,
     ObservableSeries,
@@ -81,7 +81,6 @@ __all__ = [
     "EvolutionPlan",
     "Trajectory",
     "initial_amplitudes",
-    "make_initial",
     "run",
     "ObservableSeries",
     "LadderSpectrum",

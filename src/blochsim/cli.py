@@ -30,6 +30,7 @@ from . import __version__
 from .model import ModelParams
 from .evolve import EvolutionPlan, initial_amplitudes, run, write_trajectory_csv
 from . import observables as obs
+from .observables import write_csv
 from .oracles import bessel_jn_sequence, check_dense_dim, dense_2d_hamiltonian, dense_hamiltonian
 from .circuits import build_trotter_step, build_two_particle_step
 from .transpile import REFERENCE_STEP_COUNTS_3Q, count, decompose, emit_qasm
@@ -180,18 +181,11 @@ def _bessel_extras(sec: _Section, plan_sec: _Section) -> dict:
 # scenario execution; every runner returns (artifact names, manifest notes)
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
-
-
 def _run_evolution(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     kind, *sites = config.initial.values()
     traj = run(initial_amplitudes(kind, config.model, *sites), config.model, config.plan)
     write_trajectory_csv(traj, out / "trajectory.csv")
-    if traj.probabilities.shape[1] != config.model.n_sites:
+    if traj.particles == 2:
         return ["trajectory.csv"], {}  # the sublattice series are single-particle observables
     series = [obs.position_series(traj), obs.probability_series(traj), obs.momentum_series(traj)]
     obs.write_series_csv(series, out / "series.csv")
@@ -199,33 +193,33 @@ def _run_evolution(config: RunConfig, out: Path) -> tuple[list[str], dict]:
 
 
 def _run_spectrum(config: RunConfig, out: Path) -> tuple[list[str], dict]:
-    rows = []
-    for f in config.extras["f_values"]:
-        for idx, energy in enumerate(obs.spectrum(config.model, f)):
-            rows.append((float(f), idx, float(energy)))
-    _write_rows(out / "spectrum.csv", "f,index,energy", rows)
+    f_values = config.extras["f_values"]
+    n = config.model.n_sites
+    energies = np.reshape([obs.spectrum(config.model, f) for f in f_values], (-1, n))
+    write_csv(out / "spectrum.csv", ("f", "index", "energy"),
+              (np.array(f_values)[:, None], np.arange(n), energies))
     return ["spectrum.csv"], {}
 
 
 def _run_dispersion(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     k = np.linspace(-np.pi / 2.0, np.pi / 2.0, config.extras["k_points"])
     upper, lower = obs.dispersion(config.model, k)
-    rows = [(float(ki), float(lo), float(up)) for ki, lo, up in zip(k, lower, upper)]
-    _write_rows(out / "spectrum.csv", "k,band_minus,band_plus", rows)
+    write_csv(out / "spectrum.csv", ("k", "band_minus", "band_plus"), (k, lower, upper))
     return ["spectrum.csv"], {}
 
 
 def _run_ladder(config: RunConfig, out: Path) -> tuple[list[str], dict]:
-    rows = []
-    offsets = {}
-    for band in config.extras["bands"]:
-        ladder = obs.stark_ladder(
-            config.model, config.extras["f_const"],
-            (config.extras["alpha_min"], config.extras["alpha_max"]), band=band,
-        )
-        offsets[f"offset_{'plus' if band == '+' else 'minus'}"] = ladder.offset
-        rows.extend((band, int(a), float(e)) for a, e in zip(ladder.alphas, ladder.energies))
-    _write_rows(out / "spectrum.csv", "band,alpha,energy", rows)
+    bands = config.extras["bands"]
+    ladders = [
+        obs.stark_ladder(config.model, config.extras["f_const"],
+                         (config.extras["alpha_min"], config.extras["alpha_max"]), band=band)
+        for band in bands
+    ]
+    energies = [ladder.energies for ladder in ladders]
+    write_csv(out / "spectrum.csv", ("band", "alpha", "energy"),
+              (np.array(bands)[:, None], ladders[0].alphas, energies))
+    offsets = {f"offset_{'plus' if band == '+' else 'minus'}": ladder.offset
+               for band, ladder in zip(bands, ladders)}
     return ["spectrum.csv"], offsets
 
 
@@ -249,15 +243,15 @@ def _run_transpile_report(config: RunConfig, out: Path) -> tuple[list[str], dict
 
 def _run_bessel_check(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     n_max = config.extras["n_max"]
-    rows = []
+    x_values = config.extras["x_values"]
     worst_sum_rule = 0.0
-    for x in config.extras["x_values"]:
-        seq = bessel_jn_sequence(n_max, x)
-        rows.extend((float(x), n, float(j)) for n, j in enumerate(seq))
+    for x in x_values:
         full = bessel_jn_sequence(max(n_max, int(abs(x)) + 40), x)
         worst_sum_rule = max(worst_sum_rule,
                              abs(full[0] ** 2 + 2.0 * float(np.sum(full[1:] ** 2)) - 1.0))
-    _write_rows(out / "series.csv", "x,n,jn", rows)
+    jn = np.reshape([bessel_jn_sequence(n_max, x) for x in x_values], (-1, n_max + 1))
+    write_csv(out / "series.csv", ("x", "n", "jn"),
+              (np.array(x_values)[:, None], np.arange(n_max + 1), jn))
     return ["series.csv"], {"sum_rule_residual": worst_sum_rule}
 
 
@@ -268,8 +262,7 @@ def _run_dim2(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     wy = np.linalg.eigvalsh(dense_hamiltonian(config.model_y, 0.0))
     pair_sums = np.sort(np.add.outer(wx, wy).ravel())
     residual = float(np.max(np.abs(np.sort(energies) - pair_sums)))
-    _write_rows(out / "spectrum.csv", "index,energy",
-                [(idx, float(e)) for idx, e in enumerate(energies)])
+    write_csv(out / "spectrum.csv", ("index", "energy"), (np.arange(energies.size), energies))
     return ["spectrum.csv"], {"kronecker_sum_residual": residual}
 
 
@@ -297,20 +290,31 @@ class _Scenario:
     ignores_plan: bool = False
     #: reads a second axis from [model_y]
     model_y: bool = False
+    #: dimension of the dense matrix a run of this config builds, 0 for none
+    dense_dim: Callable[[RunConfig], int] = lambda config: 0
+
+
+def _evolution_dense_dim(config: RunConfig) -> int:
+    if config.plan.stepper != "exact-dense":
+        return 0
+    return config.model.n_sites ** (2 if config.initial["kind"] == "spike2" else 1)
 
 
 _SINGLE_INITIAL = {"spike": {"site": 2}, "gaussian": {}}
 
 _SCENARIOS: dict[str, _Scenario] = {
     "single-exact": _Scenario(_run_evolution, steppers=("exact-dense",),
-                              initial=_SINGLE_INITIAL, needs_states=True),
+                              initial=_SINGLE_INITIAL, needs_states=True,
+                              dense_dim=_evolution_dense_dim),
     "single-trotter": _Scenario(_run_evolution, steppers=("trotter1",),
                                 initial=_SINGLE_INITIAL, needs_states=True, circuit=True),
     "single-ode": _Scenario(_run_evolution, steppers=("ode-rk4",),
                             initial=_SINGLE_INITIAL, needs_states=True),
     "two-particle": _Scenario(_run_evolution, steppers=("trotter1", "exact-dense"),
-                              initial={"spike2": {"site1": 1, "site2": 2}}, circuit=True),
-    "spectrum": _Scenario(_run_spectrum, extra_keys=("f_values",), extras=_spectrum_extras),
+                              initial={"spike2": {"site1": 1, "site2": 2}}, circuit=True,
+                              dense_dim=_evolution_dense_dim),
+    "spectrum": _Scenario(_run_spectrum, extra_keys=("f_values",), extras=_spectrum_extras,
+                          dense_dim=lambda config: config.model.n_sites),
     "dispersion": _Scenario(_run_dispersion, extra_keys=("k_points",),
                             extras=_dispersion_extras),
     "ladder": _Scenario(_run_ladder, extra_keys=("f_const", "alpha_min", "alpha_max", "bands"),
@@ -319,7 +323,8 @@ _SCENARIOS: dict[str, _Scenario] = {
                                   extras=_transpile_extras, circuit=True, ignores_plan=True),
     "bessel-check": _Scenario(_run_bessel_check, extra_keys=("n_max", "x_values"),
                               extras=_bessel_extras),
-    "dim2": _Scenario(_run_dim2, model_y=True),
+    "dim2": _Scenario(_run_dim2, model_y=True,
+                      dense_dim=lambda config: config.model.n_sites * config.model_y.n_sites),
 }
 
 SCENARIOS = tuple(_SCENARIOS)
@@ -349,12 +354,16 @@ def _plan_from(sec: _Section, scenario: str, entry: _Scenario) -> EvolutionPlan:
         raise ConfigError(f"plan.{exc}") from None
 
 
-def _initial_from(sec: _Section, scenario: str, entry: _Scenario) -> dict:
+def _initial_from(sec: _Section, scenario: str, entry: _Scenario, n_sites: int) -> dict:
     kind = sec.get("kind", next(iter(entry.initial)))
     if kind not in entry.initial:
         _fail("initial", "kind", f"{scenario} takes {' or '.join(entry.initial)}, got {kind!r}")
-    return {"kind": kind, **{key: sec.get_int(key, default)
-                             for key, default in entry.initial[kind].items()}}
+    initial = {"kind": kind}
+    for key, default in entry.initial[kind].items():
+        initial[key] = sec.get_int(key, default)
+        if not 0 <= initial[key] < n_sites:
+            _fail("initial", key, f"must be in [0, {n_sites}), got {initial[key]}")
+    return initial
 
 
 def parse_config(text: str) -> RunConfig:
@@ -394,15 +403,9 @@ def parse_config(text: str) -> RunConfig:
     init_sec = _Section(parser, "initial", _INITIAL_KEYS)
     initial: dict = {}
     if entry.initial:
-        initial = _initial_from(init_sec, scenario, entry)
+        initial = _initial_from(init_sec, scenario, entry, model.n_sites)
     elif init_sec.raw:
         _fail("initial", sorted(init_sec.raw)[0], f"scenario {scenario} takes no initial state")
-    if plan is not None and plan.stepper == "exact-dense":
-        particles = 2 if initial["kind"] == "spike2" else 1
-        try:
-            check_dense_dim(model.n_sites ** particles)
-        except ValueError as exc:
-            _fail("model", "n_sites", str(exc))
 
     extras_sec = _Section(parser, "scenario", entry.extra_keys)
     extras = entry.extras(extras_sec, plan_sec) if entry.extras else {}
@@ -413,7 +416,12 @@ def parse_config(text: str) -> RunConfig:
     elif parser.has_section("model_y"):
         raise ConfigError(f"section [model_y] only applies to the dim2 scenario, not {scenario}")
 
-    return RunConfig(scenario, label, model, plan, initial, extras, model_y)
+    config = RunConfig(scenario, label, model, plan, initial, extras, model_y)
+    try:
+        check_dense_dim(entry.dense_dim(config))
+    except ValueError as exc:
+        _fail("model", "n_sites", str(exc))
+    return config
 
 
 def run_scenario(config: RunConfig, out_dir) -> list[str]:

@@ -23,7 +23,8 @@ from .oracles import (
     dense_propagator,
     dense_two_particle_hamiltonian,
 )
-from .statevector import Statevector, apply_gate_to_array
+from .observables import site_probabilities, write_csv
+from .statevector import apply_gate_to_array
 
 STEPPERS = ("trotter1", "exact-dense", "ode-rk4")
 FIELD_SAMPLINGS = ("end", "midpoint")
@@ -67,34 +68,34 @@ class Trajectory:
     """Recorded states on the step grid, index 0 holding the initial state.
 
     ``states`` is one (T, dim) array: the amplitudes when the plan stores
-    states, otherwise the probabilities alone.
+    states, otherwise the probabilities alone. ``particles`` is 1
+    (dim = n_sites) or 2 (dim = n_sites**2).
     """
 
-    def __init__(self, times: np.ndarray, states: np.ndarray, params: ModelParams,
-                 plan: EvolutionPlan):
+    def __init__(self, times: np.ndarray, states: np.ndarray, particles: int,
+                 params: ModelParams, plan: EvolutionPlan):
         self.times = times
         self._states = states
-        self.probabilities = np.abs(states) ** 2 if plan.store_states else states
+        self.particles = particles
+        self.probabilities = site_probabilities(states) if plan.store_states else states
         self.params = params
         self.plan = plan
 
     def __len__(self) -> int:
         return self.times.size
 
-    def amplitudes(self, k: int) -> np.ndarray:
+    def amplitudes(self, k=slice(None)) -> np.ndarray:
+        """Amplitudes at step k; by default the whole (T, dim) array."""
         if not self.plan.store_states:
             raise ValueError("amplitudes were not stored (store_states=False)")
         return self._states[k]
 
     def site_probability(self, *sites: int) -> np.ndarray:
-        """Probability time series of one site (l) or one pair (l1, l2)."""
+        """Probability time series of one site per particle: (l) or (l1, l2)."""
         n = self.params.n_sites
-        if len(sites) == 1:
-            index = sites[0]
-        elif len(sites) == 2:
-            index = sites[0] * n + sites[1]
-        else:
-            raise ValueError("expected one site or a site pair")
+        if len(sites) != self.particles or not all(0 <= site < n for site in sites):
+            raise ValueError(f"expected {self.particles} site(s) in [0, {n}), got {sites}")
+        index = sites[0] if self.particles == 1 else sites[0] * n + sites[1]
         return self.probabilities[:, index]
 
 
@@ -132,14 +133,6 @@ def initial_amplitudes(kind: str, params: ModelParams, *sites: int) -> np.ndarra
     raise ValueError(f"unknown initial kind {kind!r}")
 
 
-def make_initial(kind: str, params: ModelParams, *sites: int) -> Statevector:
-    """Initial state as a Statevector; requires a power-of-two chain."""
-    gamma = params.require_gamma()
-    amps = initial_amplitudes(kind, params, *sites)
-    registers = 2 if kind == "spike2" else 1
-    return Statevector(registers, gamma, amps)
-
-
 def schrodinger_rhs(psi: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     """d psi/dt = -i H(t) psi written directly from the coupled site equations.
 
@@ -170,32 +163,26 @@ def _rk4_step(psi: np.ndarray, t: float, dt: float, params: ModelParams) -> np.n
     return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def run(initial, params: ModelParams, plan: EvolutionPlan) -> Trajectory:
-    """Evolve an initial state (Statevector or raw amplitude vector).
+def run(initial: np.ndarray, params: ModelParams, plan: EvolutionPlan) -> Trajectory:
+    """Evolve an initial amplitude array.
 
-    Single-particle states have n_sites amplitudes, two-particle states
-    n_sites**2. The ``trotter1`` stepper needs a power-of-two chain;
-    ``ode-rk4`` covers single-particle states only.
+    A single-particle state has n_sites amplitudes, a two-particle state
+    n_sites**2; the length decides which. The ``trotter1`` stepper needs a
+    power-of-two chain; ``ode-rk4`` covers single-particle states only.
     """
-    if isinstance(initial, Statevector):
-        psi = initial.amplitudes.copy()
-    else:
-        psi = np.array(initial, dtype=complex).ravel()
+    psi = np.array(initial, dtype=complex).ravel()
     n = params.n_sites
-    if psi.size == n:
-        two_particle = False
-    elif psi.size == n * n:
-        two_particle = True
-    else:
+    if psi.size not in (n, n * n):
         raise ValueError(f"state length {psi.size} matches neither {n} nor {n * n}")
+    particles = 1 if psi.size == n else 2
 
-    step = _make_stepper(params, plan, two_particle)
+    step = _make_stepper(params, plan, particles == 2)
     ode = plan.stepper == "ode-rk4"
     tol = ODE_NORM_TOL if ode else UNITARY_NORM_TOL
     norm0 = np.linalg.norm(psi)
     times = np.arange(plan.n_steps + 1) * plan.dt
     states = np.empty((plan.n_steps + 1, psi.size), dtype=complex if plan.store_states else float)
-    states[0] = psi if plan.store_states else np.abs(psi) ** 2
+    states[0] = psi if plan.store_states else site_probabilities(psi)
     for k in range(1, plan.n_steps + 1):
         psi = step(psi, k)
         drift = abs(np.linalg.norm(psi) - norm0)
@@ -203,8 +190,8 @@ def run(initial, params: ModelParams, plan: EvolutionPlan) -> Trajectory:
             hint = "; lower plan.dt, explicit RK4 is unstable past |H| dt of about 2.8"
             raise RuntimeError(f"norm drift {drift:.3e} exceeds {tol:g} at step {k} "
                                f"(t={k * plan.dt}){hint if ode else ''}")
-        states[k] = psi if plan.store_states else np.abs(psi) ** 2
-    return Trajectory(times, states, params, plan)
+        states[k] = psi if plan.store_states else site_probabilities(psi)
+    return Trajectory(times, states, particles, params, plan)
 
 
 def _make_stepper(params: ModelParams, plan: EvolutionPlan, two_particle: bool):
@@ -257,22 +244,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     (t, site1, site2, prob). Amplitude columns need store_states=True.
     """
     n = traj.params.n_sites
-    two_particle = traj.probabilities.shape[1] == n * n
-    with open(path, "w", encoding="ascii") as fh:
-        if two_particle:
-            fh.write("t,site1,site2,prob\n")
-            for k, t in enumerate(traj.times):
-                probs = traj.probabilities[k]
-                for l1 in range(n):
-                    for l2 in range(n):
-                        fh.write(f"{float(t)!r},{l1},{l2},{float(probs[l1 * n + l2])!r}\n")
-        else:
-            fh.write("t,site,re,im,prob\n")
-            for k, t in enumerate(traj.times):
-                amps = traj.amplitudes(k)
-                probs = traj.probabilities[k]
-                for l in range(n):
-                    fh.write(
-                        f"{float(t)!r},{l},{float(amps[l].real)!r},"
-                        f"{float(amps[l].imag)!r},{float(probs[l])!r}\n"
-                    )
+    sites = np.arange(n)
+    if traj.particles == 2:
+        write_csv(path, ("t", "site1", "site2", "prob"),
+                  (traj.times[:, None, None], sites[:, None], sites,
+                   traj.probabilities.reshape(-1, n, n)))
+    else:
+        amps = traj.amplitudes()
+        write_csv(path, ("t", "site", "re", "im", "prob"),
+                  (traj.times[:, None], sites, amps.real, amps.imag, traj.probabilities))

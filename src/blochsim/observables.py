@@ -1,4 +1,7 @@
-"""Site, sublattice, momentum, and spectral observables.
+"""Site, sublattice, momentum, and spectral observables, and the CSV writer.
+
+The state observables act on the last axis of an amplitude array, so one
+call covers one state or a whole (T, n) trajectory.
 
 Sublattice conventions: even sites form chain A, odd sites chain B. The
 per-chain expectation values carry a factor 2 (each chain holds half the
@@ -21,29 +24,30 @@ import numpy as np
 
 from .model import ModelParams
 from .oracles import dense_hamiltonian
-from .statevector import Statevector
 
-
-def _amplitudes(state) -> np.ndarray:
-    if isinstance(state, Statevector):
-        return state.amplitudes
-    return np.asarray(state, dtype=complex).ravel()
+#: Rows ``write_csv`` formats per write, so no full-file string is built.
+CSV_BLOCK_ROWS = 4096
 
 
 def site_probabilities(state) -> np.ndarray:
-    """|psi(l)|^2 over the chain."""
-    return np.abs(_amplitudes(state)) ** 2
+    """|psi(l)|^2 over the last axis of a (..., n) amplitude array."""
+    return np.abs(state) ** 2
 
 
-def two_particle_probability(state, l1: int, l2: int) -> float:
-    """|psi(l1, l2)|^2 from a two-register state."""
-    amps = _amplitudes(state)
-    n = math.isqrt(amps.size)
-    if n * n != amps.size:
-        raise ValueError("state is not a two-register amplitude vector")
-    if not (0 <= l1 < n and 0 <= l2 < n):
-        raise ValueError(f"sites ({l1}, {l2}) out of range [0, {n})")
-    return float(np.abs(amps[l1 * n + l2]) ** 2)
+def sublattice_probability(state) -> tuple[np.ndarray, np.ndarray]:
+    """(sum of |psi|^2 over even sites, over odd sites), along the last axis."""
+    return _sublattice_probability(site_probabilities(state))
+
+
+def sublattice_position(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(<l_A>, <l_B>, <l>) along the last axis: per-chain factor 2, then their plain mean."""
+    return _sublattice_position(site_probabilities(state))
+
+
+# The single implementation of each probability observable. The series call it
+# on ``traj.probabilities`` directly, because a trajectory run without
+# amplitudes keeps only |psi|^2; storing |psi| instead, so that the amplitude
+# forms above could serve it, costs one more (T, dim) array per trajectory.
 
 
 def _sublattice_probability(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,38 +63,26 @@ def _sublattice_position(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return l_a, l_b, 0.5 * (l_a + l_b)
 
 
-def sublattice_probability(state) -> tuple[float, float]:
-    """(sum of |psi|^2 over even sites, over odd sites)."""
-    prob_a, prob_b = _sublattice_probability(site_probabilities(state))
-    return float(prob_a), float(prob_b)
-
-
-def sublattice_position(state) -> tuple[float, float, float]:
-    """(<l_A>, <l_B>, <l>) with the per-chain factor 2 and their plain mean."""
-    l_a, l_b, mean = _sublattice_position(site_probabilities(state))
-    return float(l_a), float(l_b), float(mean)
-
-
 def momentum_grid(n_sites: int) -> np.ndarray:
     """k = 2 pi n / N for n = 0..N-1."""
     return 2.0 * np.pi * np.arange(n_sites) / n_sites
 
 
 def sublattice_momentum_density(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(k grid, |psi~_A(k)|^2, |psi~_B(k)|^2) with the sqrt(2/N) normalization."""
-    amps = _amplitudes(state)
-    n = amps.size
+    """(k grid, |psi~_A(k)|^2, |psi~_B(k)|^2) along the last axis, sqrt(2/N) normalized."""
+    amps = np.asarray(state, dtype=complex)
+    n = amps.shape[-1]
     mask_even = np.zeros(n)
     mask_even[0::2] = 1.0
-    ft_a = np.fft.fft(amps * mask_even) * math.sqrt(2.0 / n)
-    ft_b = np.fft.fft(amps * (1.0 - mask_even)) * math.sqrt(2.0 / n)
+    ft_a = np.fft.fft(amps * mask_even, axis=-1) * math.sqrt(2.0 / n)
+    ft_b = np.fft.fft(amps * (1.0 - mask_even), axis=-1) * math.sqrt(2.0 / n)
     return momentum_grid(n), np.abs(ft_a) ** 2, np.abs(ft_b) ** 2
 
 
-def sublattice_momentum(state) -> tuple[float, float]:
-    """(<k_A>, <k_B>) as plain grid sums of k |psi~(k)|^2."""
+def sublattice_momentum(state) -> tuple[np.ndarray, np.ndarray]:
+    """(<k_A>, <k_B>) along the last axis, as plain grid sums of k |psi~(k)|^2."""
     k, dens_a, dens_b = sublattice_momentum_density(state)
-    return float(np.sum(k * dens_a)), float(np.sum(k * dens_b))
+    return np.sum(k * dens_a, axis=-1), np.sum(k * dens_b, axis=-1)
 
 
 def dispersion(params: ModelParams, k) -> tuple[np.ndarray, np.ndarray]:
@@ -241,8 +233,24 @@ def probability_series(traj) -> ObservableSeries:
 
 def momentum_series(traj) -> ObservableSeries:
     """Sublattice momentum expectations along a trajectory (needs amplitudes)."""
-    rows = [sublattice_momentum(traj.amplitudes(k)) for k in range(len(traj))]
-    return ObservableSeries("momentum", traj.times, np.array(rows), ("mom_a", "mom_b"))
+    values = np.stack(sublattice_momentum(traj.amplitudes()), axis=-1)
+    return ObservableSeries("momentum", traj.times, values, ("mom_a", "mom_b"))
+
+
+def write_csv(path, header, columns) -> None:
+    """CSV with one row per element of the broadcast ``columns``, in C order.
+
+    Each value is written as ``str`` of its ``.tolist()`` form: a float as
+    its shortest round-trip repr, an int or a string as itself. Rows are
+    formatted ``CSV_BLOCK_ROWS`` at a time.
+    """
+    columns = np.broadcast_arrays(*columns)
+    row = ",".join(["{}"] * len(columns)) + "\n"  # format(x, "") is str(x)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, columns[0].size, CSV_BLOCK_ROWS):
+            block = [c.flat[lo:lo + CSV_BLOCK_ROWS].tolist() for c in columns]
+            fh.write("".join(map(row.format, *block)))
 
 
 def write_series_csv(series_list: list[ObservableSeries], path) -> None:
@@ -253,13 +261,5 @@ def write_series_csv(series_list: list[ObservableSeries], path) -> None:
     for s in series_list[1:]:
         if s.times.size != times.size or np.max(np.abs(s.times - times)) > 0.0:
             raise ValueError("series do not share a time grid")
-    header = ["t"]
-    for s in series_list:
-        header.extend(s.labels)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, t in enumerate(times):
-            row = [repr(float(t))]
-            for s in series_list:
-                row.extend(repr(float(v)) for v in s.values[i])
-            fh.write(",".join(row) + "\n")
+    header = ["t"] + [label for s in series_list for label in s.labels]
+    write_csv(path, header, [times, *(column for s in series_list for column in s.values.T)])

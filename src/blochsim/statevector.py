@@ -5,7 +5,8 @@ with integer index l, little-endian: qubit 0 holds the least significant
 bit of l. Two-particle states use two registers of gamma qubits each with
 register 1 on the high bits, so the joint basis index is l1 * N + l2.
 
-Gates mutate amplitudes in place.
+A state is an amplitude array whose last axis is the basis index; gates
+mutate it in place.
 """
 from __future__ import annotations
 
@@ -101,7 +102,11 @@ Gate = ControlledGate | DiagonalGate
 
 
 class Statevector:
-    """Unit-norm complex amplitudes over one or two little-endian registers."""
+    """Validated unit-norm amplitudes over one or two little-endian registers.
+
+    The input of the gate-level reference path ``circuits.apply_circuit``;
+    everywhere else a state is a plain amplitude array.
+    """
 
     __slots__ = ("num_registers", "qubits_per_register", "amplitudes")
 
@@ -126,38 +131,6 @@ class Statevector:
     @property
     def n_qubits(self) -> int:
         return self.num_registers * self.qubits_per_register
-
-    @property
-    def n_sites(self) -> int:
-        return 2 ** self.qubits_per_register
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probability(self, basis_index: int) -> float:
-        if not 0 <= basis_index < self.dim:
-            raise ValueError(f"basis index {basis_index} out of range [0, {self.dim})")
-        return float(np.abs(self.amplitudes[basis_index]) ** 2)
-
-    def __repr__(self) -> str:
-        return (
-            f"Statevector(num_registers={self.num_registers}, "
-            f"qubits_per_register={self.qubits_per_register}, dim={self.dim})"
-        )
-
-
-def new_basis_state(num_registers: int, qubits_per_register: int, basis_index: int) -> Statevector:
-    """State |basis_index> with amplitude 1 there and 0 elsewhere."""
-    dim = 2 ** (num_registers * qubits_per_register)
-    if not 0 <= basis_index < dim:
-        raise ValueError(f"basis index {basis_index} out of range [0, {dim})")
-    amps = np.zeros(dim, dtype=complex)
-    amps[basis_index] = 1.0
-    return Statevector(num_registers, qubits_per_register, amps)
 
 
 def _runs(qubits) -> list[tuple[int, int]]:

@@ -24,7 +24,7 @@ from blochsim.oracles import (
     dense_inter_hop,
     dense_intra_hop,
 )
-from blochsim.statevector import new_basis_state
+from blochsim.statevector import Statevector
 
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -197,7 +197,7 @@ class TestTwoParticle:
 
 class TestCircuitPlumbing:
     def test_apply_circuit_register_mismatch(self):
-        sv = new_basis_state(1, 3, 0)
+        sv = Statevector(1, 3, np.eye(8)[0])
         with pytest.raises(ValueError, match="qubits"):
             apply_circuit(sv, build_trotter_step(PARAMS, DT, DT))
 

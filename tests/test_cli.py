@@ -245,6 +245,9 @@ class TestMain:
         (MINIMAL, "plan.field_sampling=start"),
         (MINIMAL, "plan.store_states=false"),
         ("[run]\nscenario = spectrum\n", "scenario.f_values=0, inf"),
+        (MINIMAL, "initial.site=99"),
+        (MINIMAL, "initial.site=-1"),
+        ("[run]\nscenario = two-particle\n", "initial.site2=4"),
     ])
     def test_bad_value_exits_two_with_section_key(self, tmp_path, capsys, text, override):
         code, _ = _run_main(tmp_path, text, "--override", override)
@@ -264,6 +267,8 @@ class TestMain:
     @pytest.mark.parametrize("text", [
         "[run]\nscenario = two-particle\n[model]\nn_sites = 128\n[plan]\nstepper = exact-dense\n",
         "[run]\nscenario = single-exact\n[model]\nn_sites = 8194\n",
+        "[run]\nscenario = spectrum\n[model]\nn_sites = 8194\n",
+        "[run]\nscenario = dim2\n[model]\nn_sites = 128\n[model_y]\nn_sites = 128\n",
     ])
     def test_dense_size_guard_exits_two(self, tmp_path, capsys, text):
         code, _ = _run_main(tmp_path, text)

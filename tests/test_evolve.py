@@ -6,7 +6,6 @@ from scipy.linalg import expm
 from blochsim.evolve import (
     EvolutionPlan,
     initial_amplitudes,
-    make_initial,
     run,
     schrodinger_rhs,
     write_trajectory_csv,
@@ -60,15 +59,6 @@ class TestInitialStates:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown initial"):
             initial_amplitudes("plane-wave", DEMO)
-
-    def test_make_initial_registers(self):
-        assert make_initial("spike", DEMO, 2).num_registers == 1
-        assert make_initial("spike2", DEMO, 1, 2).num_registers == 2
-
-    def test_make_initial_needs_power_of_two(self):
-        p = ModelParams(delta_a=2.0, delta_b=2.0, n_sites=6)
-        with pytest.raises(ValueError, match="power of two"):
-            make_initial("gaussian", p)
 
 
 class TestRhs:
@@ -177,27 +167,24 @@ class TestSteppers:
 
 
 class TestRunPlumbing:
-    def test_accepts_statevector_and_array(self):
-        plan = EvolutionPlan(dt=0.1, n_steps=3)
-        a = run(make_initial("spike", DEMO, 2), DEMO, plan)
-        b = run(initial_amplitudes("spike", DEMO, 2), DEMO, plan)
-        np.testing.assert_allclose(a.amplitudes(3), b.amplitudes(3), atol=0)
-
     def test_two_particle_inferred_from_length(self):
         p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, v=10.0, n_sites=4)
         traj = run(initial_amplitudes("spike2", p, 1, 2), p,
                    EvolutionPlan(dt=0.02, n_steps=5))
-        assert traj.probabilities.shape == (6, 16)
+        assert traj.particles == 2 and traj.probabilities.shape == (6, 16)
         assert traj.site_probability(1, 2)[0] == pytest.approx(1.0)
+        assert run(initial_amplitudes("spike", p, 1), p,
+                   EvolutionPlan(dt=0.02, n_steps=5)).particles == 1
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError, match="matches neither"):
             run(np.ones(5) / np.sqrt(5), DEMO, EvolutionPlan(dt=0.1, n_steps=1))
 
     def test_store_states_off(self):
-        traj = run(initial_amplitudes("spike", DEMO, 2), DEMO,
-                   EvolutionPlan(dt=0.1, n_steps=3, store_states=False))
-        assert traj.probabilities.shape == (4, 4)
+        psi0 = initial_amplitudes("gaussian", DEMO)
+        traj = run(psi0, DEMO, EvolutionPlan(dt=0.1, n_steps=3, store_states=False))
+        full = run(psi0, DEMO, EvolutionPlan(dt=0.1, n_steps=3))
+        np.testing.assert_array_equal(traj.probabilities, full.probabilities)
         with pytest.raises(ValueError, match="store_states"):
             traj.amplitudes(2)
 

@@ -1,10 +1,13 @@
 """Sublattice, momentum, and spectral observables."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochsim.evolve import EvolutionPlan, initial_amplitudes, run
 from blochsim.model import ModelParams
 from blochsim.observables import (
+    CSV_BLOCK_ROWS,
     ObservableSeries,
     dispersion,
     momentum_series,
@@ -17,7 +20,7 @@ from blochsim.observables import (
     sublattice_momentum_density,
     sublattice_position,
     sublattice_probability,
-    two_particle_probability,
+    write_csv,
     write_series_csv,
 )
 
@@ -55,13 +58,20 @@ class TestSiteObservables:
 
     def test_two_particle_probability_indexing(self):
         p = ModelParams(delta_a=5.0, delta_b=1.0, v=10.0, n_sites=4)
-        psi = initial_amplitudes("spike2", p, 1, 2)
-        assert two_particle_probability(psi, 1, 2) == 1.0
-        assert two_particle_probability(psi, 2, 1) == 0.0
+        traj = run(initial_amplitudes("spike2", p, 1, 2), p, EvolutionPlan(dt=0.02, n_steps=1))
+        assert traj.site_probability(1, 2)[0] == 1.0
+        assert traj.site_probability(2, 1)[0] == 0.0
 
     def test_two_particle_probability_guards(self):
-        with pytest.raises(ValueError, match="two-register"):
-            two_particle_probability(np.ones(8) / np.sqrt(8), 0, 0)
+        # one site per particle, each in [0, n): (0, 5) must not read the pair (1, 1)
+        # and (6,) must not read the joint index 6
+        plan = EvolutionPlan(dt=0.02, n_steps=1)
+        pair = run(initial_amplitudes("spike2", DEMO, 1, 2), DEMO, plan)
+        single = run(initial_amplitudes("spike", DEMO, 2), DEMO, plan)
+        for traj, sites in [(pair, (0, 5)), (pair, (-1, 0)), (pair, (6,)), (pair, (1, 2, 3)),
+                            (single, (4,)), (single, (0, 1))]:
+            with pytest.raises(ValueError, match=r"site\(s\) in \[0, 4\)"):
+                traj.site_probability(*sites)
 
 
 class TestMomentum:
@@ -183,6 +193,8 @@ class TestSeries:
                                       [sublattice_position(a) for a in rows])
         np.testing.assert_array_equal(probability_series(traj).values,
                                       [sublattice_probability(a) for a in rows])
+        np.testing.assert_array_equal(momentum_series(traj).values,
+                                      [sublattice_momentum(a) for a in rows])
 
     def test_probability_series_sums_to_one(self):
         prob = probability_series(self._demo_traj())
@@ -209,3 +221,39 @@ class TestSeries:
         b = ObservableSeries("b", np.arange(1.0, 4.0), np.zeros((3, 1)), ("w",))
         with pytest.raises(ValueError, match="time grid"):
             write_series_csv([a, b], tmp_path / "bad.csv")
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e16, -1e16, 1e-5, 0.1]
+
+
+class TestWriteCsv:
+    # (rows, sites) with rows * sites at 1, B - 1, B, B + 1 and 2B + 1 for B = 4096
+    BOUNDARY_SHAPES = [(1, 1), (4095, 1), (65, 63), (64, 64), (241, 17), (4097, 1), (2731, 3)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(BOUNDARY_SHAPES) | st.tuples(st.integers(0, 300),
+                                                              st.integers(1, 40)),
+           data=st.data())
+    def test_every_field_is_str_of_its_value(self, tmp_path_factory, shape, data):
+        assert CSV_BLOCK_ROWS == 4096
+        n_rows, n_sites = shape
+        pool = data.draw(st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS),
+                                  min_size=1, max_size=12))
+        words = data.draw(st.lists(st.text("+-ab", min_size=1, max_size=3),
+                                   min_size=1, max_size=4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        times = rng.choice(pool, (n_rows, 1))
+        bits = rng.integers(-2 ** 63, 2 ** 63, (n_rows, n_sites), dtype=np.int64).view(np.float64)
+        values = np.where(rng.random((n_rows, n_sites)) < 0.5, rng.choice(pool, bits.shape), bits)
+        counts = rng.integers(-2 ** 62, 2 ** 62, (n_rows, n_sites))
+        labels = rng.choice(words, (n_rows, 1))
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        write_csv(path, ("t", "site", "value", "count", "label"),
+                  (times, np.arange(n_sites), values, counts, labels))
+        lines = path.read_text(encoding="ascii").split("\n")
+        assert lines[0] == "t,site,value,count,label" and lines[-1] == ""
+        assert len(lines) == n_rows * n_sites + 2
+        for r, line in enumerate(lines[1:-1]):
+            i, j = divmod(r, n_sites)
+            expected = [times[i, 0], j, values[i, j], counts[i, j], labels[i, 0]]
+            assert line.split(",") == [str(np.asarray(v).tolist()) for v in expected]

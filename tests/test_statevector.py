@@ -11,7 +11,6 @@ from blochsim.statevector import (
     DiagonalGate,
     Statevector,
     apply_gate_to_array,
-    new_basis_state,
 )
 from blochsim.transpile import (
     BasisCircuit,
@@ -46,6 +45,10 @@ def _dense_controlled(gate: ControlledGate, n_qubits: int) -> np.ndarray:
     return u
 
 
+def _basis(n_qubits: int, index: int) -> np.ndarray:
+    return np.eye(2 ** n_qubits, dtype=complex)[index]
+
+
 def _random_unitary_2x2(rng) -> np.ndarray:
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(m)
@@ -54,13 +57,13 @@ def _random_unitary_2x2(rng) -> np.ndarray:
 
 class TestStatevector:
     def test_basis_state_is_one_hot(self):
-        sv = new_basis_state(1, 2, 3)
-        np.testing.assert_array_equal(sv.amplitudes, [0, 0, 0, 1])
-        assert sv.n_sites == 4 and sv.n_qubits == 2 and sv.dim == 4
+        sv = Statevector(1, 2, [0, 0, 0, 1])
+        np.testing.assert_array_equal(sv.amplitudes, _basis(2, 3))
+        assert sv.amplitudes.dtype == complex and sv.n_qubits == 2
 
     def test_two_register_dims(self):
-        sv = new_basis_state(2, 2, 0)
-        assert sv.dim == 16 and sv.n_sites == 4 and sv.n_qubits == 4
+        sv = Statevector(2, 2, _basis(4, 0))
+        assert sv.n_qubits == 4 and sv.amplitudes.size == 16
 
     def test_norm_enforced(self):
         with pytest.raises(ValueError, match="norm"):
@@ -74,47 +77,40 @@ class TestStatevector:
         with pytest.raises(ValueError, match="num_registers"):
             Statevector(3, 1, np.ones(8) / np.sqrt(8))
 
-    def test_probability_range_check(self):
-        with pytest.raises(ValueError, match="out of range"):
-            new_basis_state(1, 2, 0).probability(4)
-
 
 class TestLittleEndian:
     def test_x_on_qubit0_swaps_adjacent_indices(self):
-        sv = new_basis_state(1, 2, 0)
-        apply_gate_to_array(sv.amplitudes, sv.n_qubits, ControlledGate(target=0, unitary=_X))
-        assert sv.probability(1) == 1.0
+        psi = _basis(2, 0)
+        apply_gate_to_array(psi, 2, ControlledGate(target=0, unitary=_X))
+        np.testing.assert_array_equal(psi, _basis(2, 1))
 
     def test_x_on_qubit1_jumps_by_two(self):
-        sv = new_basis_state(1, 2, 0)
-        apply_gate_to_array(sv.amplitudes, sv.n_qubits, ControlledGate(target=1, unitary=_X))
-        assert sv.probability(2) == 1.0
+        psi = _basis(2, 0)
+        apply_gate_to_array(psi, 2, ControlledGate(target=1, unitary=_X))
+        np.testing.assert_array_equal(psi, _basis(2, 2))
 
     def test_site_index_is_basis_index(self):
         # site 5 on an 8-site chain is |101> with qubit 0 = LSB
-        sv = new_basis_state(1, 3, 5)
-        apply_gate_to_array(sv.amplitudes, sv.n_qubits, ControlledGate(target=2, unitary=_X))
-        assert sv.probability(1) == 1.0  # cleared the 4-bit
+        psi = _basis(3, 5)
+        apply_gate_to_array(psi, 3, ControlledGate(target=2, unitary=_X))
+        np.testing.assert_array_equal(psi, _basis(3, 1))  # cleared the 4-bit
 
 
 class TestControlledGate:
     def test_filled_control_fires_on_one(self):
-        sv = new_basis_state(1, 2, 1)  # qubit 0 set
-        apply_gate_to_array(sv.amplitudes, sv.n_qubits,
-                            ControlledGate(target=1, unitary=_X, controls=((0, 1),)))
-        assert sv.probability(3) == 1.0
+        psi = _basis(2, 1)  # qubit 0 set
+        apply_gate_to_array(psi, 2, ControlledGate(target=1, unitary=_X, controls=((0, 1),)))
+        np.testing.assert_array_equal(psi, _basis(2, 3))
 
     def test_filled_control_idle_on_zero(self):
-        sv = new_basis_state(1, 2, 0)
-        apply_gate_to_array(sv.amplitudes, sv.n_qubits,
-                            ControlledGate(target=1, unitary=_X, controls=((0, 1),)))
-        assert sv.probability(0) == 1.0
+        psi = _basis(2, 0)
+        apply_gate_to_array(psi, 2, ControlledGate(target=1, unitary=_X, controls=((0, 1),)))
+        np.testing.assert_array_equal(psi, _basis(2, 0))
 
     def test_open_control_fires_on_zero(self):
-        sv = new_basis_state(1, 2, 0)
-        apply_gate_to_array(sv.amplitudes, sv.n_qubits,
-                            ControlledGate(target=1, unitary=_X, controls=((0, 0),)))
-        assert sv.probability(2) == 1.0
+        psi = _basis(2, 0)
+        apply_gate_to_array(psi, 2, ControlledGate(target=1, unitary=_X, controls=((0, 0),)))
+        np.testing.assert_array_equal(psi, _basis(2, 2))
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -156,23 +152,21 @@ class TestControlledGate:
 
 class TestDiagonalGate:
     def test_single_qubit_phase(self):
-        sv = new_basis_state(1, 2, 2)  # qubit 1 set
-        apply_gate_to_array(sv.amplitudes, sv.n_qubits,
-                            DiagonalGate(qubits=(1,), diagonal=np.array([1.0, 1j])))
-        assert sv.amplitudes[2] == pytest.approx(1j)
+        psi = _basis(2, 2)  # qubit 1 set
+        apply_gate_to_array(psi, 2, DiagonalGate(qubits=(1,), diagonal=np.array([1.0, 1j])))
+        np.testing.assert_array_equal(psi, 1j * _basis(2, 2))
 
     def test_subindex_ordering(self):
         # qubits (2, 0): sub-index j = bit2 + 2*bit0; basis 5 = |101> -> j = 1 + 2*1 = 3
         diag = np.array([1.0, 1j, -1.0, -1j])
-        sv = new_basis_state(1, 3, 5)
-        apply_gate_to_array(sv.amplitudes, sv.n_qubits, DiagonalGate(qubits=(2, 0), diagonal=diag))
-        assert sv.amplitudes[5] == pytest.approx(-1j)
+        psi = _basis(3, 5)
+        apply_gate_to_array(psi, 3, DiagonalGate(qubits=(2, 0), diagonal=diag))
+        np.testing.assert_array_equal(psi, -1j * _basis(3, 5))
 
     def test_empty_qubits_is_global_phase(self):
-        sv = new_basis_state(1, 2, 1)
-        apply_gate_to_array(sv.amplitudes, sv.n_qubits,
-                            DiagonalGate(qubits=(), diagonal=np.array([np.exp(0.5j)])))
-        assert sv.amplitudes[1] == pytest.approx(np.exp(0.5j))
+        psi = _basis(2, 1)
+        apply_gate_to_array(psi, 2, DiagonalGate(qubits=(), diagonal=np.array([np.exp(0.5j)])))
+        np.testing.assert_array_equal(psi, np.exp(0.5j) * _basis(2, 1))
 
     def test_nonunit_modulus_rejected(self):
         with pytest.raises(ValueError, match="modulus"):
