@@ -43,14 +43,12 @@ from .observables import (
     sublattice_position,
 )
 from .oracles import (
-    bessel_jn,
     bessel_jn_sequence,
     dense_hamiltonian,
     dense_propagator,
     dense_two_particle_hamiltonian,
     uniform_chain_mean_position,
     uniform_chain_profile,
-    uniform_chain_propagator,
 )
 from .transpile import (
     BasisCircuit,
@@ -93,9 +91,7 @@ __all__ = [
     "position_series",
     "probability_series",
     "momentum_series",
-    "bessel_jn",
     "bessel_jn_sequence",
-    "uniform_chain_propagator",
     "uniform_chain_profile",
     "uniform_chain_mean_position",
     "dense_hamiltonian",

@@ -9,8 +9,9 @@ which differ only in qubit 0, so its propagator is a single uncontrolled
 mixing gate. The inter-cell pairing (2n+1, 2n+2) is the same structure
 conjugated by a cyclic shift of the site index, built from multi-controlled
 X gates with open (on-0) controls. The tilt is a phase gate per qubit, and
-the two-particle contact term is a product of commuting parity-phase
-diagonals applied identically to both registers.
+the two-particle contact term is one diagonal gate over both registers
+that phases the coincidences l1 = l2; only the lowering splits it into
+parity ladders.
 
 Gates are kept whole here (multi-controlled X stays one op); lowering to a
 two-qubit basis is the transpile module's job.
@@ -160,25 +161,19 @@ def build_trotter_step(params: ModelParams, t: float, dt: float) -> Circuit:
 
 
 def build_contact_phase(params: ModelParams, dt: float) -> Circuit:
-    """exp(-i H_contact dt) on two registers via 2**gamma commuting parity phases.
+    """exp(-i H_contact dt) as one diagonal gate over both registers.
 
-    The coincidence projector expands as (v / 2**gamma) * sum over every
-    qubit subset S of a Z-parity string applied identically to both
-    registers. Each factor is one diagonal gate with phase angle
-    (v / 2**gamma) * dt weighted by the +-1 parity of its sub-index.
+    The joint index is l1 * N + l2, so the N coincidences l1 = l2 sit at
+    l * (N + 1) and get the phase exp(-i v dt); every other amplitude is
+    left alone. Only the lowering in ``transpile`` splits this diagonal
+    into Z-parity ladders.
     """
     gamma = params.require_gamma()
     n = params.n_sites
-    theta = params.v * dt / n
-    ops = []
-    for subset in range(n):
-        bits = tuple(beta for beta in range(gamma) if subset >> beta & 1)
-        qubits = bits + tuple(beta + gamma for beta in bits)
-        size = 2 ** len(qubits)
-        parity = np.array([bin(j).count("1") & 1 for j in range(size)])
-        diagonal = np.exp(-1j * theta * np.where(parity, -1.0, 1.0))
-        ops.append(DiagonalGate(qubits=qubits, diagonal=diagonal, label=f"zz{subset}"))
-    return Circuit(2 * gamma, tuple(ops), label="contact_phase")
+    diagonal = np.ones(n * n, dtype=complex)
+    diagonal[np.arange(n) * (n + 1)] = np.exp(-1j * params.v * dt)
+    gate = DiagonalGate(qubits=tuple(range(2 * gamma)), diagonal=diagonal, label="contact")
+    return Circuit(2 * gamma, (gate,), label="contact_phase")
 
 
 def build_two_particle_step(params: ModelParams, t: float, dt: float) -> Circuit:
@@ -192,26 +187,3 @@ def build_two_particle_step(params: ModelParams, t: float, dt: float) -> Circuit
     )
     return Circuit(2 * gamma, ops, label="two_particle_step")
 
-
-def format_circuit(circuit: Circuit) -> str:
-    """Plain-text wire diagram: one row per qubit, one column per op."""
-    cols = []
-    for op in circuit.ops:
-        col = {}
-        if isinstance(op, ControlledGate):
-            col[op.target] = f"[{op.label or 'U'}]"
-            for q, pol in op.controls:
-                col[q] = "(*)" if pol else "(o)"
-        else:
-            name = op.label or "D"
-            for q in op.qubits:
-                col[q] = f"[{name}]"
-        cols.append(col)
-    widths = [max((len(v) for v in col.values()), default=3) for col in cols]
-    lines = []
-    for q in range(circuit.qubit_count):
-        cells = []
-        for col, w in zip(cols, widths):
-            cells.append(col.get(q, "-" * w).center(w, "-"))
-        lines.append(f"q{q}: " + "-".join(cells))
-    return "\n".join(lines)

@@ -120,6 +120,8 @@ class _Section:
             numbers = [float(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
             _fail(self.name, key, f"not a comma-separated number list: {text!r}")
+        if not numbers:
+            _fail(self.name, key, "needs at least one number")
         if not all(map(math.isfinite, numbers)):
             _fail(self.name, key, f"not a finite number: {text!r}")
         return numbers
@@ -358,8 +360,13 @@ def _initial_from(sec: _Section, scenario: str, entry: _Scenario, n_sites: int) 
     kind = sec.get("kind", next(iter(entry.initial)))
     if kind not in entry.initial:
         _fail("initial", "kind", f"{scenario} takes {' or '.join(entry.initial)}, got {kind!r}")
+    sites = entry.initial[kind]
+    for key in sec.raw:
+        if key != "kind" and key not in sites:
+            takes = " or ".join(sites) if sites else "no site"
+            _fail("initial", key, f"kind {kind} takes {takes}")
     initial = {"kind": kind}
-    for key, default in entry.initial[kind].items():
+    for key, default in sites.items():
         initial[key] = sec.get_int(key, default)
         if not 0 <= initial[key] < n_sites:
             _fail("initial", key, f"must be in [0, {n_sites}), got {initial[key]}")

@@ -209,10 +209,8 @@ class ObservableSeries:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if values.shape[0] != np.asarray(self.times).size:
-            values = values.T
-        if values.shape[0] != np.asarray(self.times).size:
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 2 or values.shape[0] != np.asarray(self.times).size:
             raise ValueError("values and times are not aligned")
         if values.shape[1] != len(self.labels):
             raise ValueError("one label per value column required")

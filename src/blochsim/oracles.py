@@ -232,37 +232,11 @@ def bessel_jn_sequence(n_max: int, x: float) -> np.ndarray:
     return out
 
 
-def bessel_jn(n: int, x: float) -> float:
-    """Integer-order Bessel function of the first kind."""
-    n = int(n)
-    sign = 1.0
-    if n < 0:  # J_{-n} = (-1)^n J_n
-        n = -n
-        if n % 2:
-            sign = -1.0
-    return sign * float(bessel_jn_sequence(n, x)[n])
-
-
 def _drift_argument(t: float, delta: float, f: float) -> float:
     """(delta/f) sin(f t / 2), continued to delta*t/2 at zero field."""
     if abs(f) < _FIELD_EPS:
         return delta * t / 2.0
     return (delta / f) * math.sin(f * t / 2.0)
-
-
-def uniform_chain_propagator(l: int, l_src: int, t: float, delta: float, f: float) -> complex:
-    """Amplitude <l| U(t) |l_src> on the infinite equal-hopping tilted chain.
-
-    Closed form i**(l-l') J_{l-l'}(z) exp(-i (l+l') f t / 2) with
-    z = (delta/f) sin(f t / 2); at f = 0 the argument continues to
-    delta*t/2 and the phase factor drops out.
-    """
-    n = l - l_src
-    z = _drift_argument(t, delta, f)
-    amp = (1j) ** (n % 4) * bessel_jn(n, z)
-    if abs(f) < _FIELD_EPS:
-        return complex(amp)
-    return complex(amp * np.exp(-1j * (l + l_src) * f * t / 2.0))
 
 
 def uniform_chain_profile(n_sites: int, l_src: int, t: float, delta: float, f: float) -> np.ndarray:

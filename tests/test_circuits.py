@@ -14,7 +14,6 @@ from blochsim.circuits import (
     build_two_particle_step,
     circuit_unitary,
     decrement_ops,
-    format_circuit,
     increment_ops,
 )
 from blochsim.model import ModelParams, params_with_gamma
@@ -24,7 +23,7 @@ from blochsim.oracles import (
     dense_inter_hop,
     dense_intra_hop,
 )
-from blochsim.statevector import Statevector
+from blochsim.statevector import DiagonalGate, Statevector
 
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -172,9 +171,14 @@ class TestTrotterStep:
 
 
 class TestTwoParticle:
-    def test_contact_phase_is_coincidence_diagonal(self):
-        p = ModelParams(delta_a=5.0, delta_b=1.0, v=10.0, n_sites=4)
-        u = circuit_unitary(build_contact_phase(p, DT))
+    @pytest.mark.parametrize("v", [10.0, 250.0])
+    def test_contact_phase_is_coincidence_diagonal(self, v):
+        # v = 250 puts v*dt past pi, where the phase angle wraps
+        p = ModelParams(delta_a=5.0, delta_b=1.0, v=v, n_sites=4)
+        circuit = build_contact_phase(p, DT)
+        (gate,) = circuit.ops
+        assert isinstance(gate, DiagonalGate) and gate.qubits == (0, 1, 2, 3)
+        u = circuit_unitary(circuit)
         n = p.n_sites
         expected = np.ones(n * n, dtype=complex)
         expected[np.arange(n) * n + np.arange(n)] = np.exp(-1j * p.v * DT)
@@ -206,9 +210,3 @@ class TestCircuitPlumbing:
 
         with pytest.raises(ValueError, match="exceeds"):
             Circuit(1, (ControlledGate(target=1, unitary=_X),))
-
-    def test_format_circuit_mentions_every_qubit(self):
-        text = format_circuit(build_trotter_step(PARAMS, DT, DT))
-        lines = text.splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("q0:") and lines[1].startswith("q1:")

@@ -248,6 +248,10 @@ class TestMain:
         (MINIMAL, "initial.site=99"),
         (MINIMAL, "initial.site=-1"),
         ("[run]\nscenario = two-particle\n", "initial.site2=4"),
+        ("[run]\nscenario = single-exact\n[initial]\nkind = gaussian\n", "initial.site=99"),
+        ("[run]\nscenario = two-particle\n", "initial.site=3"),
+        ("[run]\nscenario = spectrum\n", "scenario.f_values="),
+        ("[run]\nscenario = bessel-check\n", "scenario.x_values="),
     ])
     def test_bad_value_exits_two_with_section_key(self, tmp_path, capsys, text, override):
         code, _ = _run_main(tmp_path, text, "--override", override)

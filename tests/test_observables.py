@@ -205,6 +205,8 @@ class TestSeries:
             ObservableSeries("x", np.arange(3.0), np.zeros((3, 2)), ("only",))
         with pytest.raises(ValueError, match="aligned"):
             ObservableSeries("x", np.arange(3.0), np.zeros((4, 2)), ("a", "b"))
+        with pytest.raises(ValueError, match="aligned"):
+            ObservableSeries("x", np.arange(3.0), np.zeros((2, 3)), ("a", "b"))
 
     def test_write_series_csv(self, tmp_path):
         traj = self._demo_traj()

@@ -128,9 +128,14 @@ class TestStepCircuits:
         p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, v=10.0, n_sites=4)
         _check_exact(build_two_particle_step(p, DT, DT))
 
-    def test_contact_phase_equivalence(self):
-        p = ModelParams(delta_a=5.0, delta_b=1.0, v=10.0, n_sites=4)
-        _check_exact(build_contact_phase(p, DT))
+    @pytest.mark.parametrize("v", [10.0, 250.0])
+    def test_contact_phase_equivalence(self, v):
+        # v = 250 puts v*dt past pi, where the phase angle wraps
+        p = ModelParams(delta_a=5.0, delta_b=1.0, v=v, n_sites=4)
+        basis = _check_exact(build_contact_phase(p, DT))
+        expected = np.ones(16, dtype=complex)
+        expected[np.arange(4) * 5] = np.exp(-1j * v * DT)
+        np.testing.assert_allclose(basis_unitary(basis), np.diag(expected), atol=1e-12)
 
     def test_step_count_regressions(self):
         # frozen tallies of this decomposer; a deliberate algorithm change
@@ -141,6 +146,14 @@ class TestStepCircuits:
         c3 = count(decompose(build_trotter_step(p3, DT, DT)))
         assert c2.as_dict() == {"depth": 11, "u1": 2, "u3": 8, "cx": 2}
         assert c3.as_dict() == {"depth": 42, "u1": 15, "u3": 28, "cx": 18}
+        two_particle = {
+            2: {"depth": 21, "u1": 7, "u3": 16, "cx": 14},
+            3: {"depth": 77, "u1": 37, "u3": 56, "cx": 70},
+            4: {"depth": 241, "u1": 135, "u3": 168, "cx": 246},
+        }
+        for gamma, tally in two_particle.items():
+            p = params_with_gamma(gamma, delta_a=5.0, delta_b=1.0, f_dc=1.5, v=2.0)
+            assert count(decompose(build_two_particle_step(p, DT, DT))).as_dict() == tally
 
     def test_reference_tally_is_pinned(self):
         assert REFERENCE_STEP_COUNTS_3Q == {"depth": 25, "u1": 4, "u3": 13, "cx": 14}
