@@ -19,6 +19,7 @@ two-qubit basis is the transpile module's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -54,10 +55,6 @@ class Circuit:
         for op in self.ops:
             if any(q >= self.qubit_count for q in op.qubits):
                 raise ValueError(f"op {op.label or op} exceeds {self.qubit_count} qubits")
-
-    def shifted(self, offset: int, qubit_count: int) -> "Circuit":
-        """Embed into a wider register with all qubit indices moved up."""
-        return Circuit(qubit_count, tuple(op.shifted(offset) for op in self.ops), self.label)
 
 
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
@@ -130,34 +127,27 @@ def build_inter_hop(params: ModelParams, dt: float) -> Circuit:
     return Circuit(gamma, ops, label="inter_hop")
 
 
+def _field_ops(params: ModelParams, t: float, dt: float,
+               offset: int = 0) -> tuple[DiagonalGate, ...]:
+    """The field phase gates of one register whose qubit 0 is ``offset``."""
+    f = params.field(t)
+    return tuple(
+        DiagonalGate(
+            qubits=(offset + beta,),
+            diagonal=np.array([1.0, np.exp(-1j * f * dt * 2 ** beta)]),
+            label=f"phase{beta}",
+        )
+        for beta in range(params.require_gamma())
+    )
+
+
 def build_field_phase(params: ModelParams, t: float, dt: float) -> Circuit:
     """exp(-i H_field(t) dt): diagonal phase exp(-i l F(t) dt) as one gate per qubit.
 
     Bit beta of l carries weight 2**beta, so qubit beta gets the phase
     diag(1, exp(-i F dt 2**beta)).
     """
-    gamma = params.require_gamma()
-    f = params.field(t)
-    ops = tuple(
-        DiagonalGate(
-            qubits=(beta,),
-            diagonal=np.array([1.0, np.exp(-1j * f * dt * 2 ** beta)]),
-            label=f"phase{beta}",
-        )
-        for beta in range(gamma)
-    )
-    return Circuit(gamma, ops, label="field_phase")
-
-
-def build_trotter_step(params: ModelParams, t: float, dt: float) -> Circuit:
-    """One first-order step; the field factor acts first, intra-hop last."""
-    gamma = params.require_gamma()
-    ops = (
-        build_field_phase(params, t, dt).ops
-        + build_inter_hop(params, dt).ops
-        + build_intra_hop(params, dt).ops
-    )
-    return Circuit(gamma, ops, label="trotter_step")
+    return Circuit(params.require_gamma(), _field_ops(params, t, dt), label="field_phase")
 
 
 def build_contact_phase(params: ModelParams, dt: float) -> Circuit:
@@ -176,14 +166,32 @@ def build_contact_phase(params: ModelParams, dt: float) -> Circuit:
     return Circuit(2 * gamma, (gate,), label="contact_phase")
 
 
+def _step_ops_at(params: ModelParams, dt: float,
+                 particles: int) -> Callable[[float], tuple[Gate, ...]]:
+    """Return t -> the ops of one step on ``particles`` registers.
+
+    Only the field phase depends on t. The hop gates and the contact phase
+    are built here once and shared by every call, so a driven run rebuilds
+    only its field phase gates.
+    """
+    gamma = params.require_gamma()
+    hops = build_inter_hop(params, dt).ops + build_intra_hop(params, dt).ops
+    if particles == 1:
+        return lambda t: _field_ops(params, t, dt) + hops
+    # register 1 (the high qubits) steps first, then register 0, then the contact
+    high_hops = tuple(op.shifted(gamma) for op in hops)
+    contact = build_contact_phase(params, dt).ops
+    return lambda t: (_field_ops(params, t, dt, gamma) + high_hops
+                      + _field_ops(params, t, dt) + hops + contact)
+
+
+def build_trotter_step(params: ModelParams, t: float, dt: float) -> Circuit:
+    """One first-order step; the field factor acts first, intra-hop last."""
+    gamma = params.require_gamma()
+    return Circuit(gamma, _step_ops_at(params, dt, 1)(t), label="trotter_step")
+
+
 def build_two_particle_step(params: ModelParams, t: float, dt: float) -> Circuit:
     """One two-particle step: a kinetic step per register, then the contact phase."""
     gamma = params.require_gamma()
-    single = build_trotter_step(params, t, dt)
-    ops = (
-        single.shifted(gamma, 2 * gamma).ops
-        + single.shifted(0, 2 * gamma).ops
-        + build_contact_phase(params, dt).ops
-    )
-    return Circuit(2 * gamma, ops, label="two_particle_step")
-
+    return Circuit(2 * gamma, _step_ops_at(params, dt, 2)(t), label="two_particle_step")

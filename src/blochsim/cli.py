@@ -31,7 +31,13 @@ from .model import ModelParams
 from .evolve import EvolutionPlan, initial_amplitudes, run, write_trajectory_csv
 from . import observables as obs
 from .observables import write_csv
-from .oracles import bessel_jn_sequence, check_dense_dim, dense_2d_hamiltonian, dense_hamiltonian
+from .oracles import (
+    DENSE_DIM_MAX,
+    bessel_jn_sequence,
+    check_dense_dim,
+    dense_2d_hamiltonian,
+    dense_hamiltonian,
+)
 from .circuits import build_trotter_step, build_two_particle_step
 from .transpile import REFERENCE_STEP_COUNTS_3Q, count, decompose, emit_qasm
 
@@ -44,6 +50,8 @@ _MODEL_DEFAULTS = {
 }
 _PLAN_KEYS = ("dt", "n_steps", "stepper", "field_sampling", "store_states")
 _INITIAL_KEYS = ("kind", "site", "site1", "site2")
+#: bytes a run may hold in its trajectory, the dense cap's budget
+_MEMORY_BUDGET = DENSE_DIM_MAX ** 2 * 16
 
 
 class ConfigError(ValueError):
@@ -296,10 +304,26 @@ class _Scenario:
     dense_dim: Callable[[RunConfig], int] = lambda config: 0
 
 
-def _evolution_dense_dim(config: RunConfig) -> int:
-    if config.plan.stepper != "exact-dense":
-        return 0
+def _state_dim(config: RunConfig) -> int:
     return config.model.n_sites ** (2 if config.initial["kind"] == "spike2" else 1)
+
+
+def _evolution_dense_dim(config: RunConfig) -> int:
+    return _state_dim(config) if config.plan.stepper == "exact-dense" else 0
+
+
+def _check_trajectory_bytes(config: RunConfig) -> None:
+    """Refuse a trajectory whose (n_steps + 1, dim) arrays exceed the dense budget.
+
+    A run keeps the amplitudes and their probabilities when it stores
+    states, the probabilities alone otherwise.
+    """
+    plan = config.plan
+    rows, dim = plan.n_steps + 1, _state_dim(config)
+    needed = rows * dim * (16 + 8 if plan.store_states else 8)
+    if needed > _MEMORY_BUDGET:
+        _fail("plan", "n_steps", f"a trajectory of {rows} states of dimension {dim} needs "
+              f"{needed} bytes; the limit is {_MEMORY_BUDGET} bytes")
 
 
 _SINGLE_INITIAL = {"spike": {"site": 2}, "gaussian": {}}
@@ -428,6 +452,8 @@ def parse_config(text: str) -> RunConfig:
         check_dense_dim(entry.dense_dim(config))
     except ValueError as exc:
         _fail("model", "n_sites", str(exc))
+    if entry.steppers:
+        _check_trajectory_bytes(config)
     return config
 
 

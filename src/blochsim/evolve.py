@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import build_trotter_step, build_two_particle_step
+from .circuits import _step_ops_at, build_trotter_step, build_two_particle_step
 from .model import ModelParams
 from .oracles import (
     dense_hamiltonian,
@@ -203,11 +203,13 @@ def _make_stepper(params: ModelParams, plan: EvolutionPlan, two_particle: bool):
         build = build_two_particle_step if two_particle else build_trotter_step
         n_qubits = 2 * gamma if two_particle else gamma
 
-        cached = build(params, plan.sample_time(1), plan.dt) if static_field else None
+        # under a drive only the field phase is rebuilt each step
+        cached = build(params, plan.sample_time(1), plan.dt).ops if static_field else None
+        ops_at = None if static_field else _step_ops_at(params, plan.dt, 2 if two_particle else 1)
 
         def step(psi: np.ndarray, k: int) -> np.ndarray:
-            circuit = cached if cached is not None else build(params, plan.sample_time(k), plan.dt)
-            for op in circuit.ops:
+            ops = cached if cached is not None else ops_at(plan.sample_time(k))
+            for op in ops:
                 apply_gate_to_array(psi, n_qubits, op)
             return psi
 

@@ -211,11 +211,23 @@ def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
 # controlled-gate lowering
 
 
+def _relabel(op: BasisOp, slots: tuple[int, ...]) -> BasisOp:
+    """The same op with qubit q moved to ``slots[q]``."""
+    if isinstance(op, U1Gate):
+        return U1Gate(slots[op.qubit], op.lam)
+    if isinstance(op, U3Gate):
+        return U3Gate(slots[op.qubit], op.theta, op.phi, op.lam)
+    return CXGate(slots[op.control], slots[op.target])
+
+
 def _emit_controlled(unitary: np.ndarray, controls: tuple[int, ...], target: int,
-                     ops: list[BasisOp]) -> float:
+                     ops: list[BasisOp], memo: dict) -> float:
     """Append basis ops for a k-controlled 2x2 unitary (all controls fire on 1).
 
-    Returns the accumulated global phase.
+    Returns the accumulated global phase. With two or more controls the op
+    sequence does not depend on the qubits, so it is lowered once per
+    (unitary, k) on slot qubits 0..k-1 (controls) and k (target), kept in
+    ``memo``, and relabelled onto the real qubits at every use.
     """
     u = np.asarray(unitary, dtype=complex)
     if not controls:
@@ -242,15 +254,23 @@ def _emit_controlled(unitary: np.ndarray, controls: tuple[int, ...], target: int
             ops.append(U1Gate(c, alpha))
         return phase
 
-    # k >= 2: C^k(U) = [CV on last control] [C^{k-1}X] [CV^dag] [C^{k-1}X]
-    #                  [C^{k-1}V on remaining controls], V = sqrt(U)
-    *rest, last = controls
-    v = _unitary_sqrt(u)
-    phase = _emit_controlled(v, (last,), target, ops)
-    phase += _emit_controlled(_X, tuple(rest), last, ops)
-    phase += _emit_controlled(v.conj().T, (last,), target, ops)
-    phase += _emit_controlled(_X, tuple(rest), last, ops)
-    phase += _emit_controlled(v, tuple(rest), target, ops)
+    k = len(controls)
+    key = (u.tobytes(), k)
+    if key not in memo:
+        # C^k(U) = [CV on last control] [C^{k-1}X] [CV^dag] [C^{k-1}X]
+        #          [C^{k-1}V on remaining controls], V = sqrt(U)
+        rest, last, slot_target = tuple(range(k - 1)), k - 1, k
+        v = _unitary_sqrt(u)
+        template: list[BasisOp] = []
+        phase = _emit_controlled(v, (last,), slot_target, template, memo)
+        phase += _emit_controlled(_X, rest, last, template, memo)
+        phase += _emit_controlled(v.conj().T, (last,), slot_target, template, memo)
+        phase += _emit_controlled(_X, rest, last, template, memo)
+        phase += _emit_controlled(v, rest, slot_target, template, memo)
+        memo[key] = (template, phase)
+    template, phase = memo[key]
+    slots = controls + (target,)
+    ops.extend(_relabel(op, slots) for op in template)
     return phase
 
 
@@ -260,23 +280,21 @@ def _emit_diagonal(gate: DiagonalGate, ops: list[BasisOp]) -> float:
     m = len(gate.qubits)
     if m == 0:
         return float(theta[0])
-    # in-place Walsh-Hadamard transform of the phase vector
+    # Walsh-Hadamard transform of the phase vector, one butterfly per level
     w = theta.copy()
     h = 1
     while h < w.size:
-        for start in range(0, w.size, 2 * h):
-            a = w[start:start + h].copy()
-            b = w[start + h:start + 2 * h].copy()
-            w[start:start + h] = a + b
-            w[start + h:start + 2 * h] = a - b
+        pairs = w.reshape(-1, 2, h)
+        a = pairs[:, 0].copy()
+        b = pairs[:, 1]
+        pairs[:, 0] = a + b
+        pairs[:, 1] = a - b
         h *= 2
     w /= w.size
 
     phase = float(w[0])
-    for mask in range(1, w.size):
+    for mask in (np.flatnonzero(np.abs(w[1:]) >= _DIAG_TOL) + 1).tolist():
         angle = float(w[mask])
-        if abs(angle) < _DIAG_TOL:
-            continue
         members = [gate.qubits[bit] for bit in range(m) if mask >> bit & 1]
         tail = members[-1]
         for q in members[:-1]:
@@ -294,6 +312,7 @@ def decompose(circuit: Circuit | BasisCircuit) -> BasisCircuit:
         return circuit
     ops: list[BasisOp] = []
     phase = 0.0
+    memo: dict = {}  # multi-controlled templates, local to this call
     for op in circuit.ops:
         if isinstance(op, DiagonalGate):
             phase += _emit_diagonal(op, ops)
@@ -304,7 +323,8 @@ def decompose(circuit: Circuit | BasisCircuit) -> BasisCircuit:
         zeros = tuple(q for q, pol in op.controls if pol == 0)
         for q in zeros:
             phase += _emit_single(_X, q, ops)
-        phase += _emit_controlled(op.unitary, tuple(q for q, _ in op.controls), op.target, ops)
+        phase += _emit_controlled(op.unitary, tuple(q for q, _ in op.controls), op.target, ops,
+                                  memo)
         for q in reversed(zeros):
             phase += _emit_single(_X, q, ops)
     return BasisCircuit(circuit.qubit_count, tuple(ops), phase, label=circuit.label)

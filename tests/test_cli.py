@@ -252,6 +252,12 @@ class TestMain:
         ("[run]\nscenario = two-particle\n", "initial.site=3"),
         ("[run]\nscenario = spectrum\n", "scenario.f_values="),
         ("[run]\nscenario = bessel-check\n", "scenario.x_values="),
+        # trajectories past the 1 GiB budget: 101 * 2**20 * (16 + 8) bytes, and
+        # 201 * 2**20 * 8 bytes of probabilities alone
+        ("[run]\nscenario = single-trotter\n[model]\nn_sites = 1048576\n", "plan.n_steps=100"),
+        ("[run]\nscenario = single-ode\n[model]\nn_sites = 1048576\n", "plan.n_steps=100"),
+        ("[run]\nscenario = two-particle\n[model]\nn_sites = 1024\n"
+         "[plan]\nstore_states = false\n", "plan.n_steps=200"),
     ])
     def test_bad_value_exits_two_with_section_key(self, tmp_path, capsys, text, override):
         code, _ = _run_main(tmp_path, text, "--override", override)

@@ -1,6 +1,10 @@
 """Lowering to the {u1, u3, cx} basis: equivalence, counts, QASM."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochsim.circuits import (
     Circuit,
@@ -88,6 +92,114 @@ class TestControlledDecomposition:
         gate = ControlledGate(target=0, unitary=_X, controls=((1, 0),))
         basis = _check_exact(Circuit(2, (gate,)))
         assert count(basis).cx >= 1
+
+
+def _relabelled(ops, mapping: dict) -> tuple:
+    """Basis ops with every qubit q moved to mapping[q]."""
+    moved = []
+    for op in ops:
+        if isinstance(op, CXGate):
+            moved.append(CXGate(mapping[op.control], mapping[op.target]))
+        else:
+            moved.append(dataclasses.replace(op, qubit=mapping[op.qubit]))
+    return tuple(moved)
+
+
+def _near_diagonal(rng, eps: float) -> np.ndarray:
+    """Random phases around a rotation by eps, so |off-diagonal| = |sin eps|."""
+    c, s = np.cos(eps), np.sin(eps)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
+    return phases[0] * np.diag([1.0, phases[1]]) @ np.array([[c, -s], [s, c]]) @ np.diag(
+        [1.0, phases[2]])
+
+
+@st.composite
+def _lowering_unitaries(draw):
+    """A random 2x2 unitary, X, a diagonal, or off-diagonals near the 1e-12 switch."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "x", "diagonal", "near-diagonal"]))
+    if kind == "random":
+        return _random_unitary_2x2(rng)
+    if kind == "x":
+        return _X
+    if kind == "diagonal":
+        return np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 2)))
+    eps = draw(st.floats(1e-13, 1e-11)) * draw(st.sampled_from([1.0, -1.0]))
+    return _near_diagonal(rng, eps)
+
+
+@st.composite
+def _controlled_cases(draw):
+    """(n, unitary, qubits of one gate, qubits of a second, polarities): target first."""
+    k = draw(st.integers(0, 5))
+    n = draw(st.integers(k + 1, 7))
+    first = draw(st.permutations(range(n)))[:k + 1]
+    second = draw(st.permutations(range(n)))[:k + 1]
+    polarities = tuple(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
+    return n, draw(_lowering_unitaries()), tuple(first), tuple(second), polarities
+
+
+def _gate(unitary, qubits, polarities) -> ControlledGate:
+    return ControlledGate(target=qubits[0], unitary=unitary,
+                          controls=tuple(zip(qubits[1:], polarities)))
+
+
+class TestLoweringProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(_controlled_cases())
+    def test_lowering_is_equivalent(self, case):
+        n, u, qubits, _, polarities = case
+        circuit = Circuit(n, (_gate(u, qubits, polarities),))
+        u_basis, u_circuit = basis_unitary(decompose(circuit)), circuit_unitary(circuit)
+        assert equivalent_up_to_phase(u_basis, u_circuit)
+        # the tracked global phase makes them equal outright
+        np.testing.assert_allclose(u_basis, u_circuit, rtol=0, atol=1e-10)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_controlled_cases())
+    def test_lowering_relabels_the_slot_lowering(self, case):
+        n, u, qubits, _, polarities = case
+        k = len(polarities)
+        slots = (k,) + tuple(range(k))  # target k, controls 0..k-1
+        on_slots = decompose(Circuit(k + 1, (_gate(u, slots, polarities),)))
+        on_qubits = decompose(Circuit(n, (_gate(u, qubits, polarities),)))
+        assert on_qubits.ops == _relabelled(on_slots.ops, dict(zip(slots, qubits)))
+        assert on_qubits.global_phase == on_slots.global_phase
+
+    @settings(max_examples=120, deadline=None)
+    @given(_controlled_cases())
+    def test_repeated_gate_lowers_to_relabelled_copies(self, case):
+        n, u, first, second, polarities = case
+        once = decompose(Circuit(n, (_gate(u, first, polarities),)))
+        twice = decompose(Circuit(n, (_gate(u, first, polarities), _gate(u, second, polarities))))
+        copy = _relabelled(once.ops, dict(zip(first, second)))
+        assert twice.ops == once.ops + copy
+        assert twice.global_phase == once.global_phase + once.global_phase
+
+    @settings(max_examples=60, deadline=None)
+    @given(_controlled_cases())
+    def test_decompose_is_deterministic(self, case):
+        n, u, first, second, polarities = case
+        circuit = Circuit(n, (_gate(u, first, polarities), _gate(u, second, polarities)))
+        a, b = decompose(circuit), decompose(circuit)
+        assert a.ops == b.ops and a.global_phase == b.global_phase
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 7), st.data())
+    def test_diagonal_lowering_is_exact(self, n, data):
+        # phases that depend on a random subset of the bits only, plus noise:
+        # the Walsh coefficients outside that subset are noise near the 1e-12
+        # switch and fall on both sides of it; each dropped one is below
+        # 1e-12, hence the error bound
+        qubits = tuple(data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        m = len(qubits)
+        keep = int(rng.integers(0, 2 ** m))
+        levels = rng.uniform(-np.pi, np.pi, 2 ** m)[np.arange(2 ** m) & keep]
+        noise = data.draw(st.floats(1e-13, 1e-11)) * rng.standard_normal(2 ** m)
+        circuit = Circuit(n, (DiagonalGate(qubits, np.exp(1j * (levels + noise))),))
+        np.testing.assert_allclose(basis_unitary(decompose(circuit)), circuit_unitary(circuit),
+                                   rtol=0, atol=2 ** m * 1e-12 + 1e-12)
 
 
 class TestDiagonalDecomposition:
