@@ -19,7 +19,7 @@ two-qubit basis is the transpile module's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -68,18 +68,85 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     return state
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the circuit.
+#: Most qubits one fused block of ``_dense_unitary`` spans; chosen by measurement.
+_BLOCK_QUBITS = 5
 
-    The rows of the identity are the basis states; each gate is applied
-    once to all of them, and row j ends as column j of the unitary.
+
+def _blocks(gates: Iterable[Gate]) -> Iterator[tuple[tuple[int, ...], list[Gate]]]:
+    """Split the gates in order, greedily, into blocks on at most _BLOCK_QUBITS qubits.
+
+    Yields (sorted qubits of the block, its gates). A gate wider than the
+    limit is a block of its own.
     """
-    dim = 2 ** circuit.qubit_count
+    qubits: set[int] = set()
+    block: list[Gate] = []
+    for gate in gates:
+        joined = qubits.union(gate.qubits)
+        if len(joined) > _BLOCK_QUBITS and block:
+            yield tuple(sorted(qubits)), block
+            joined, block = set(gate.qubits), []
+        qubits = joined
+        block.append(gate)
+        if len(qubits) > _BLOCK_QUBITS:
+            yield tuple(sorted(qubits)), block
+            qubits, block = set(), []
+    if block:
+        yield tuple(sorted(qubits)), block
+
+
+def _on_qubits(gate: Gate, local: dict[int, int]) -> Gate:
+    """The same gate with qubit q moved to ``local[q]``."""
+    if isinstance(gate, DiagonalGate):
+        return DiagonalGate(tuple(local[q] for q in gate.qubits), gate.diagonal, gate.label)
+    return ControlledGate(local[gate.target], gate.unitary,
+                          tuple((local[q], p) for q, p in gate.controls), gate.label)
+
+
+def _dense_unitary(n_qubits: int, gates: Iterable[Gate]) -> np.ndarray:
+    """Dense unitary of the gates applied in order, built from fused blocks.
+
+    The rows of the identity are the basis states, and row j ends as
+    column j of the unitary. Each block's 2**m matrix is the kernel applied
+    to the small identity with the block's qubits relabelled 0..m-1. The
+    block then updates every row in one matmul: the rows are viewed as
+    (dim, 2, ..., 2), the block's qubit axes are moved last, and the
+    product stays in that order. ``at[p]`` tracks the qubit that bit p of
+    the current layout holds, so a gate wider than the block limit goes
+    through the kernel relabelled onto that layout, and the qubits are put
+    back in order once, at the end.
+    """
+    dim = 2 ** n_qubits
     check_dense_dim(dim)
+    shape = (dim,) + (2,) * n_qubits  # bit p of a row's index is axis n_qubits - p
     rows = np.eye(dim, dtype=complex)
-    for op in circuit.ops:
-        apply_gate_to_array(rows, circuit.qubit_count, op)
-    return rows.T
+    spare = np.empty_like(rows)  # the gathered rows of each block, then the result
+    at = list(range(n_qubits))
+    for qubits, block in _blocks(gates):
+        m = len(qubits)
+        if m > _BLOCK_QUBITS:
+            bit = {q: p for p, q in enumerate(at)}
+            apply_gate_to_array(rows, n_qubits, _on_qubits(block[0], bit))
+            continue
+        local = np.eye(2 ** m, dtype=complex)
+        relabel = {q: j for j, q in enumerate(qubits)}
+        keep_labels = qubits == tuple(range(m))  # relabelling would change nothing
+        for gate in block:
+            apply_gate_to_array(local, m, gate if keep_labels else _on_qubits(gate, relabel))
+        # local row j is the block applied to basis state j, so a row r over
+        # the block's sub-index (highest qubit first) becomes r @ local
+        src = [n_qubits - at.index(q) for q in reversed(qubits)]
+        moved = np.moveaxis(rows.reshape(shape), src, range(n_qubits + 1 - m, n_qubits + 1))
+        np.copyto(spare.reshape(moved.shape), moved)
+        np.matmul(spare.reshape(-1, 2 ** m), local, out=rows.reshape(-1, 2 ** m))
+        at = list(qubits) + [q for q in at if q not in relabel]
+    order = [0] + [n_qubits - at.index(q) for q in reversed(range(n_qubits))]
+    np.copyto(spare.reshape(shape), rows.reshape(shape).transpose(order))
+    return spare.T
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Dense unitary of the circuit, from fused gate blocks (see ``_dense_unitary``)."""
+    return _dense_unitary(circuit.qubit_count, circuit.ops)
 
 
 def _mix_gate(delta: float, dt: float, label: str) -> ControlledGate:

