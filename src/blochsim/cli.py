@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -397,17 +397,31 @@ def _initial_from(sec: _Section, scenario: str, entry: _Scenario, n_sites: int) 
     return initial
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate config text; unknown sections/keys are errors."""
+def parse_config(text: str, overrides: Iterable[str] = ()) -> RunConfig:
+    """Parse and fully validate config text; unknown sections/keys are errors.
+
+    ``overrides`` are ``section.key=value`` strings set on top of the text
+    before anything is validated.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from None
+    for item in overrides:
+        location, eq, value = item.partition("=")
+        section, dot, key = location.partition(".")
+        if not (eq and dot):
+            raise ConfigError(f"override must look like section.key=value, got {item!r}")
+        section = section.strip()
+        if section not in parser:  # the default section is always in it
+            parser.add_section(section)
+        parser.set(section, key.strip(), value.strip())
 
-    known_sections = {"run", "model", "plan", "initial", "scenario", "model_y"}
-    for name in parser.sections():
-        if name not in known_sections:
+    # a [DEFAULT] would copy its keys into every section, past the key checks
+    sections = parser.sections() + ([parser.default_section] if parser.defaults() else [])
+    for name in sections:
+        if name not in ("run", "model", "plan", "initial", "scenario", "model_y"):
             raise ConfigError(f"unknown section [{name}]")
 
     run_sec = _Section(parser, "run", ("scenario", "label"))
@@ -485,30 +499,6 @@ def run_scenario(config: RunConfig, out_dir) -> list[str]:
 # entry point
 
 
-def _apply_overrides(text: str, overrides: list[str]) -> str:
-    """Apply repeatable --override section.key=value onto the config text."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax: {exc}") from None
-    for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigError(f"override must look like section.key=value, got {item!r}")
-        location, value = item.split("=", 1)
-        section, key = location.split(".", 1)
-        section, key = section.strip(), key.strip()
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, key, value.strip())
-    chunks = []
-    for section in parser.sections():
-        chunks.append(f"[{section}]")
-        chunks.extend(f"{key} = {value}" for key, value in parser.items(section))
-        chunks.append("")
-    return "\n".join(chunks)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="blochsim",
@@ -528,9 +518,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.override:
-            text = _apply_overrides(text, args.override)
-        config = parse_config(text)
+        config = parse_config(text, args.override)
         artifacts = run_scenario(config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,6 +6,10 @@ by default at the step endpoint t_k, matching the product convention
 
     |psi(t)> = U(t_K) ... U(t_2) U(t_1) |psi(0)>.
 
+Each of them is one step operator U(t), the ``trotter1`` gate tuple or
+the dense propagator, built once when the field is static and at every
+step's sample time under a drive.
+
 ``ode-rk4`` is an independent classical route: fixed-step fourth-order
 Runge-Kutta on d psi/dt = -i H(t) psi with the standard internal stage
 times, available for single-particle states.
@@ -16,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _step_ops_at, build_trotter_step, build_two_particle_step
+from .circuits import _step_ops_at
+# the step builders stay module attributes: perfbench's tracer wraps them here
+from .circuits import build_trotter_step, build_two_particle_step  # noqa: F401
 from .model import ModelParams
-from .oracles import (
-    dense_hamiltonian,
-    dense_propagator,
-    dense_two_particle_hamiltonian,
-)
+from .oracles import dense_hamiltonian, dense_propagator, dense_two_particle_hamiltonian
 from .observables import site_probabilities, write_csv
 from .statevector import apply_gate_to_array
 
@@ -176,7 +178,7 @@ def run(initial: np.ndarray, params: ModelParams, plan: EvolutionPlan) -> Trajec
         raise ValueError(f"state length {psi.size} matches neither {n} nor {n * n}")
     particles = 1 if psi.size == n else 2
 
-    step = _make_stepper(params, plan, particles == 2)
+    step = _make_stepper(params, plan, particles)
     ode = plan.stepper == "ode-rk4"
     tol = ODE_NORM_TOL if ode else UNITARY_NORM_TOL
     norm0 = np.linalg.norm(psi)
@@ -194,49 +196,37 @@ def run(initial: np.ndarray, params: ModelParams, plan: EvolutionPlan) -> Trajec
     return Trajectory(times, states, particles, params, plan)
 
 
-def _make_stepper(params: ModelParams, plan: EvolutionPlan, two_particle: bool):
-    """Bind one (psi, k) -> psi step function; cache what the drive allows."""
-    static_field = params.f_ac == 0.0
+def _make_stepper(params: ModelParams, plan: EvolutionPlan, particles: int):
+    """Bind one (psi, k) -> psi step function.
+
+    A unitary stepper is ``operator_at(t)`` and ``apply(operator, psi)``.
+    """
+    if plan.stepper == "ode-rk4":
+        if particles == 2:
+            raise ValueError("ode-rk4 supports single-particle states only")
+        return lambda psi, k: _rk4_step(psi, (k - 1) * plan.dt, plan.dt, params)
 
     if plan.stepper == "trotter1":
-        gamma = params.require_gamma()
-        build = build_two_particle_step if two_particle else build_trotter_step
-        n_qubits = 2 * gamma if two_particle else gamma
+        n_qubits = particles * params.require_gamma()
+        operator_at = _step_ops_at(params, plan.dt, particles)
 
-        # under a drive only the field phase is rebuilt each step
-        cached = build(params, plan.sample_time(1), plan.dt).ops if static_field else None
-        ops_at = None if static_field else _step_ops_at(params, plan.dt, 2 if two_particle else 1)
-
-        def step(psi: np.ndarray, k: int) -> np.ndarray:
-            ops = cached if cached is not None else ops_at(plan.sample_time(k))
+        def apply(ops, psi: np.ndarray) -> np.ndarray:
             for op in ops:
                 apply_gate_to_array(psi, n_qubits, op)
             return psi
+    else:  # exact-dense
+        build_h = dense_hamiltonian if particles == 1 else dense_two_particle_hamiltonian
 
-        return step
+        def operator_at(t: float) -> np.ndarray:
+            return dense_propagator(build_h(params, t), plan.dt)
 
-    if plan.stepper == "exact-dense":
-        build_h = dense_two_particle_hamiltonian if two_particle else dense_hamiltonian
-        cached_u = dense_propagator(build_h(params, plan.sample_time(1)), plan.dt) if static_field else None
-
-        def step(psi: np.ndarray, k: int) -> np.ndarray:
-            u = cached_u if cached_u is not None else dense_propagator(
-                build_h(params, plan.sample_time(k)), plan.dt
-            )
+        def apply(u, psi: np.ndarray) -> np.ndarray:
             return u @ psi
 
-        return step
-
-    if plan.stepper == "ode-rk4":
-        if two_particle:
-            raise ValueError("ode-rk4 supports single-particle states only")
-
-        def step(psi: np.ndarray, k: int) -> np.ndarray:
-            return _rk4_step(psi, (k - 1) * plan.dt, plan.dt, params)
-
-        return step
-
-    raise ValueError(f"unknown stepper {plan.stepper!r}")
+    if params.f_ac == 0.0:
+        operator = operator_at(plan.sample_time(1))
+        return lambda psi, k: apply(operator, psi)
+    return lambda psi, k: apply(operator_at(plan.sample_time(k)), psi)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -1,8 +1,14 @@
 """Config parsing, scenario execution, artifacts, and exit codes."""
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochsim.cli import SCENARIOS, ConfigError, main, parse_config, run_scenario
 
@@ -290,7 +296,98 @@ class TestMain:
         text = "[run]\nscenario = two-particle\n[model]\nn_sites = 128\n"
         assert parse_config(text).plan.stepper == "trotter1"
 
+    def test_override_keeps_continuation_lines(self, tmp_path):
+        text = "[run]\nscenario = spectrum\n[scenario]\nf_values = 0,\n  0.2, 1\n"
+        code, out = _run_main(tmp_path, text, "--override", "model.f_dc=2")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["scenario_extras"]["f_values"] == [0.0, 0.2, 1.0]
+        assert manifest["model"]["f_dc"] == 2.0
+
+    @pytest.mark.parametrize("text, extra", [
+        (MINIMAL, ("--override", "DEFAULT.x=1")),
+        # [DEFAULT] keys are copied into every section the file has
+        ("[DEFAULT]\nlabel = hidden\n[run]\nscenario = spectrum\n", ()),
+        ("[DEFAULT]\nlabel = hidden\n[run]\nscenario = spectrum\n[model]\nn_sites = 4\n", ()),
+    ])
+    def test_default_section_is_unknown(self, tmp_path, capsys, text, extra):
+        code, _ = _run_main(tmp_path, text, *extra)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: unknown section [DEFAULT]")
+
     def test_malformed_override(self, tmp_path, capsys):
         code, _ = _run_main(tmp_path, MINIMAL, "--override", "delta_a=3")
         assert code == 2
         assert "section.key=value" in capsys.readouterr().err
+
+
+@st.composite
+def _valid_configs(draw):
+    """A small valid config of any scenario, as {section: {key: value}}."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    base = parse_config(f"[run]\nscenario = {scenario}\n")
+    n_sites = draw(st.sampled_from([2, 4, 8, 16]))
+    model = {"n_sites": n_sites, "f_ac": draw(st.sampled_from([0.0, 0.5])), "omega": 2.0}
+    sections = {"run": {"scenario": scenario}, "model": model, "scenario": {}}
+    if base.plan is not None:
+        sections["plan"] = {"n_steps": draw(st.integers(1, 10))}
+    if base.initial:
+        sections["initial"] = {key: draw(st.integers(0, n_sites - 1))
+                               for key in base.initial if key != "kind"}
+    if base.model_y is not None:
+        sections["model_y"] = {"n_sites": draw(st.sampled_from([2, 4, 8, 16]))}
+    return sections
+
+
+def _config_text(sections) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   for name, keys in sections.items())
+
+
+def _main_quietly(config: Path, out: Path) -> tuple[int, str]:
+    """Exit code and stderr of ``blochsim run``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", str(config), "--out", str(out)])
+    return code, err.getvalue()
+
+
+class TestCliProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_valid_configs())
+    def test_valid_configs_run_and_rerun_byte_identical(self, sections):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, outs = Path(tmp) / "run.ini", [Path(tmp) / "a", Path(tmp) / "b"]
+            cfg.write_text(_config_text(sections))
+            (code, err), rerun = [_main_quietly(cfg, out) for out in outs]
+            assert rerun == (code, err)
+            if code == 1 and sections["run"]["scenario"] == "single-ode":
+                # explicit RK4 drifts past its norm bound on a long tilted chain
+                # at the default dt; the run stops at that step and says so
+                assert "norm drift" in err and "plan.dt" in err
+                return
+            assert code == 0, err
+            names = sorted(path.name for path in outs[0].iterdir())
+            assert names == sorted(path.name for path in outs[1].iterdir())
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(_valid_configs(), st.data())
+    def test_one_bad_entry_exits_two_with_section_key(self, sections, data):
+        faults = [(name, "bogus", "1") for name in sections]
+        faults += [("model", key, bad) for key in ("delta_a", "f_dc", "n_sites")
+                   for bad in ("nan", "inf", "strong")]
+        if "plan" in sections:
+            faults += [("plan", "dt", bad) for bad in ("nan", "-inf", "x")]
+        n_sites = sections["model"]["n_sites"]
+        faults += [("initial", key, bad) for key in sections.get("initial", ())
+                   for bad in (n_sites, -1)]
+        section, key, value = data.draw(st.sampled_from(faults))
+        sections = {**sections, section: {**sections[section], key: value}}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.ini"
+            cfg.write_text(_config_text(sections))
+            code, err = _main_quietly(cfg, Path(tmp) / "out")
+        assert code == 2
+        assert err.startswith(f"config error: {section}.{key}:")

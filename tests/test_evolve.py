@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from blochsim.circuits import apply_circuit, build_trotter_step, build_two_particle_step
 from blochsim.evolve import (
+    FIELD_SAMPLINGS,
     EvolutionPlan,
     initial_amplitudes,
     run,
@@ -11,7 +13,8 @@ from blochsim.evolve import (
     write_trajectory_csv,
 )
 from blochsim.model import ModelParams
-from blochsim.oracles import dense_hamiltonian
+from blochsim.oracles import dense_hamiltonian, dense_propagator, dense_two_particle_hamiltonian
+from blochsim.statevector import Statevector
 
 DEMO = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, n_sites=4)
 
@@ -164,6 +167,33 @@ class TestSteppers:
         e_end_2 = err(0.005, 200, "end")
         assert 0.4 <= e_end_2 / e_end_1 <= 0.65
         assert err(0.01, 100, "midpoint") < e_end_1 / 5.0
+
+    @pytest.mark.parametrize("sampling", FIELD_SAMPLINGS)
+    @pytest.mark.parametrize("particles", [1, 2])
+    def test_driven_steps_follow_the_sampled_field(self, particles, sampling):
+        # under a drive, step k of each unitary stepper is the step operator
+        # built at plan.sample_time(k): the gate circuit for trotter1, the
+        # dense propagator for exact-dense
+        p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, f_ac=2.0, omega=3.0,
+                        v=4.0 if particles == 2 else 0.0, n_sites=8 if particles == 1 else 4)
+        gamma = p.require_gamma()
+        psi0 = (initial_amplitudes("spike", p, 3) if particles == 1
+                else initial_amplitudes("spike2", p, 1, 2))
+        build_step = build_trotter_step if particles == 1 else build_two_particle_step
+        build_h = dense_hamiltonian if particles == 1 else dense_two_particle_hamiltonian
+        for stepper in ("trotter1", "exact-dense"):
+            plan = EvolutionPlan(dt=0.07, n_steps=6, stepper=stepper, field_sampling=sampling)
+            traj = run(psi0, p, plan)
+            psi = psi0.copy()
+            for k in range(1, plan.n_steps + 1):
+                t_k = plan.sample_time(k)
+                if stepper == "trotter1":
+                    state = apply_circuit(Statevector(particles, gamma, psi),
+                                          build_step(p, t_k, plan.dt))
+                    psi = state.amplitudes
+                else:
+                    psi = dense_propagator(build_h(p, t_k), plan.dt) @ psi
+                np.testing.assert_allclose(traj.amplitudes(k), psi, rtol=0, atol=1e-12)
 
 
 class TestRunPlumbing:
