@@ -198,6 +198,18 @@ class TestTwoParticle:
         uv = circuit_unitary(build_contact_phase(p, DT))
         np.testing.assert_allclose(u2, uv @ np.kron(u1, u1), atol=1e-12)
 
+    @pytest.mark.parametrize("v", [0.0, 3.0])
+    @pytest.mark.parametrize("n_sites", [4, 8])
+    @pytest.mark.parametrize("t", [0.02, 0.37, 1.1])
+    def test_driven_step_factors(self, v, n_sites, t):
+        # each register sees the field sampled at t, as a one-particle step does
+        p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, f_ac=2.0, omega=3.0, v=v,
+                        n_sites=n_sites)
+        u2 = circuit_unitary(build_two_particle_step(p, t, DT))
+        u1 = circuit_unitary(build_trotter_step(p, t, DT))
+        uv = circuit_unitary(build_contact_phase(p, DT))
+        np.testing.assert_allclose(u2, uv @ np.kron(u1, u1), atol=1e-12)
+
 
 class TestCircuitPlumbing:
     def test_apply_circuit_register_mismatch(self):
