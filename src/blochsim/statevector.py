@@ -32,7 +32,6 @@ class ControlledGate:
     target: int
     unitary: np.ndarray
     controls: tuple[tuple[int, int], ...] = ()
-    label: str = ""
 
     def __post_init__(self) -> None:
         u = np.asarray(self.unitary, dtype=complex)
@@ -52,15 +51,6 @@ class ControlledGate:
         if self.target < 0:
             raise ValueError("target qubit must be non-negative")
 
-    def shifted(self, offset: int) -> "ControlledGate":
-        """Same gate with every qubit index moved up by ``offset``."""
-        return ControlledGate(
-            target=self.target + offset,
-            unitary=self.unitary,
-            controls=tuple((q + offset, p) for q, p in self.controls),
-            label=self.label,
-        )
-
     @property
     def qubits(self) -> tuple[int, ...]:
         return (self.target,) + tuple(q for q, _ in self.controls)
@@ -77,7 +67,6 @@ class DiagonalGate:
 
     qubits: tuple[int, ...]
     diagonal: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         qs = tuple(int(q) for q in self.qubits)
@@ -91,16 +80,16 @@ class DiagonalGate:
         object.__setattr__(self, "qubits", qs)
         object.__setattr__(self, "diagonal", d)
 
-    def shifted(self, offset: int) -> "DiagonalGate":
-        """Same gate with every qubit index moved up by ``offset``."""
-        return DiagonalGate(
-            qubits=tuple(q + offset for q in self.qubits),
-            diagonal=self.diagonal,
-            label=self.label,
-        )
-
 
 Gate = ControlledGate | DiagonalGate
+
+
+def relabel(gate: Gate, local) -> Gate:
+    """The same gate with qubit q moved to ``local[q]``; ``local`` is a dict or a range."""
+    if isinstance(gate, DiagonalGate):
+        return DiagonalGate(tuple(local[q] for q in gate.qubits), gate.diagonal)
+    return ControlledGate(local[gate.target], gate.unitary,
+                          tuple((local[q], p) for q, p in gate.controls))
 
 
 class Statevector:

@@ -363,20 +363,22 @@ def count(circuit: BasisCircuit) -> GateCounts:
     return GateCounts(depth=depth, u1=u1, u3=u3, cx=cx)
 
 
-def _as_gate(op: BasisOp) -> ControlledGate | DiagonalGate:
+def _as_gate(op: BasisOp, local) -> ControlledGate | DiagonalGate:
+    """The kernel gate of a basis op, with qubit q moved to ``local[q]``."""
     if isinstance(op, U1Gate):
-        return DiagonalGate((op.qubit,), np.array([1.0, np.exp(1j * op.lam)]))
+        return DiagonalGate((local[op.qubit],), np.array([1.0, np.exp(1j * op.lam)]))
     if isinstance(op, U3Gate):
-        return ControlledGate(op.qubit, op.matrix())
-    return ControlledGate(op.target, _X, controls=((op.control, 1),))
+        return ControlledGate(local[op.qubit], op.matrix())
+    return ControlledGate(local[op.target], _X, controls=((local[op.control], 1),))
 
 
 def basis_unitary(circuit: BasisCircuit) -> np.ndarray:
     """Full matrix of a basis circuit, including its global phase.
 
-    Built like ``circuit_unitary``, from fused blocks of the ops as kernel gates.
+    Built like ``circuit_unitary``, from fused blocks; each op becomes a
+    kernel gate once, on its block's qubits.
     """
-    u = _dense_unitary(circuit.qubit_count, map(_as_gate, circuit.ops))
+    u = _dense_unitary(circuit.qubit_count, circuit.ops, _as_gate)
     u *= np.exp(1j * circuit.global_phase)
     return u
 

@@ -13,7 +13,6 @@ from blochsim.circuits import (
     build_trotter_step,
     build_two_particle_step,
     circuit_unitary,
-    decrement_ops,
     increment_ops,
 )
 from blochsim.model import ModelParams, params_with_gamma
@@ -113,7 +112,7 @@ class TestShiftCircuits:
     def test_decrement_inverts_increment(self):
         for gamma in (1, 2, 3):
             inc = circuit_unitary(Circuit(gamma, increment_ops(gamma)))
-            dec = circuit_unitary(Circuit(gamma, decrement_ops(gamma)))
+            dec = circuit_unitary(Circuit(gamma, increment_ops(gamma)[::-1]))
             np.testing.assert_allclose(dec @ inc, np.eye(2 ** gamma), atol=1e-15)
 
 

@@ -11,6 +11,7 @@ from blochsim.statevector import (
     DiagonalGate,
     Statevector,
     apply_gate_to_array,
+    relabel,
 )
 from blochsim.transpile import (
     BasisCircuit,
@@ -128,10 +129,12 @@ class TestControlledGate:
         with pytest.raises(ValueError, match="polarity"):
             ControlledGate(target=1, unitary=_X, controls=((0, 2),))
 
-    def test_shifted_moves_all_qubits(self):
+    def test_relabel_moves_all_qubits(self):
         gate = ControlledGate(target=0, unitary=_X, controls=((1, 0),))
-        moved = gate.shifted(3)
+        moved = relabel(gate, range(3, 5))
         assert moved.target == 3 and moved.controls == ((4, 0),)
+        diag = relabel(DiagonalGate((0, 1), np.exp(1j * np.arange(4))), {0: 2, 1: 0})
+        assert diag.qubits == (2, 0)
 
     def test_matches_dense_oracle_on_random_states(self):
         rng = np.random.default_rng(11)
