@@ -439,27 +439,18 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> RunConfig:
               f"must be a power of two for scenario {scenario}, got {model.n_sites}")
 
     plan_sec = _Section(parser, "plan", _PLAN_KEYS)
-    plan = None
-    if entry.steppers:
-        plan = _plan_from(plan_sec, scenario, entry)
-    elif plan_sec.raw and not entry.ignores_plan:
-        _fail("plan", sorted(plan_sec.raw)[0], f"scenario {scenario} takes no evolution plan")
-
     init_sec = _Section(parser, "initial", _INITIAL_KEYS)
-    initial: dict = {}
-    if entry.initial:
-        initial = _initial_from(init_sec, scenario, entry, model.n_sites)
-    elif init_sec.raw:
-        _fail("initial", sorted(init_sec.raw)[0], f"scenario {scenario} takes no initial state")
-
+    y_sec = _Section(parser, "model_y", _MODEL_KEYS)
+    # a non-empty section that the scenario does not read fails on its first key
+    for sec, reads in ((plan_sec, entry.steppers or entry.ignores_plan),
+                       (init_sec, entry.initial), (y_sec, entry.model_y)):
+        if sec.raw and not reads:
+            _fail(sec.name, sorted(sec.raw)[0], f"scenario {scenario} takes no [{sec.name}]")
+    plan = _plan_from(plan_sec, scenario, entry) if entry.steppers else None
+    initial = _initial_from(init_sec, scenario, entry, model.n_sites) if entry.initial else {}
     extras_sec = _Section(parser, "scenario", entry.extra_keys)
     extras = entry.extras(extras_sec, plan_sec) if entry.extras else {}
-
-    model_y = None
-    if entry.model_y:
-        model_y = _model_from(_Section(parser, "model_y", _MODEL_KEYS))
-    elif parser.has_section("model_y"):
-        raise ConfigError(f"section [model_y] only applies to the dim2 scenario, not {scenario}")
+    model_y = _model_from(y_sec) if entry.model_y else None
 
     config = RunConfig(scenario, label, model, plan, initial, extras, model_y)
     try:

@@ -53,12 +53,6 @@ class ModelParams:
             return self.f_dc
         return self.f_dc + self.f_ac * math.cos(self.omega * t)
 
-    def bloch_period(self) -> float:
-        """2*pi / f_dc, the oscillation period of the dc tilt."""
-        if self.f_dc == 0.0:
-            raise ValueError("bloch_period undefined at zero dc field")
-        return 2.0 * math.pi / abs(self.f_dc)
-
 
 def params_with_gamma(gamma: int, **kwargs) -> ModelParams:
     """ModelParams constructor taking the qubit count instead of n_sites."""

@@ -88,11 +88,11 @@ class TestParsing:
             parse_config("[run]\nscenario = single-exact\n[plan]\nstepper = trotter1\n")
 
     def test_plan_rejected_for_static_scenario(self):
-        with pytest.raises(ConfigError, match=r"plan\..*takes no evolution plan"):
+        with pytest.raises(ConfigError, match=r"plan\.dt: scenario spectrum takes no \[plan\]"):
             parse_config("[run]\nscenario = spectrum\n[plan]\ndt = 0.1\n")
 
     def test_initial_rejected_for_static_scenario(self):
-        with pytest.raises(ConfigError, match=r"initial\..*takes no initial state"):
+        with pytest.raises(ConfigError, match=r"initial\.kind: scenario ladder takes no \[initial\]"):
             parse_config("[run]\nscenario = ladder\n[initial]\nkind = spike\n")
 
     def test_two_particle_initial_kind(self):
@@ -108,8 +108,21 @@ class TestParsing:
             parse_config("[run]\nscenario = dim2\n[scenario]\nt_end = 0.5\n")
 
     def test_model_y_only_for_dim2(self):
-        with pytest.raises(ConfigError, match=r"model_y"):
+        with pytest.raises(ConfigError,
+                           match=r"^model_y\.delta_a: scenario single-trotter takes no \[model_y\]"):
             parse_config(MINIMAL + "[model_y]\ndelta_a = 1\n")
+
+    def test_empty_unread_sections_are_tolerated(self):
+        config = parse_config("[run]\nscenario = spectrum\n[plan]\n[initial]\n[model_y]\n")
+        assert config.plan is None and config.initial == {} and config.model_y is None
+
+    def test_readme_config_block_parses_to_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        after = readme.split("All sections and keys, with defaults:", 1)[1]
+        block = after.split("```ini\n", 1)[1].split("```", 1)[0]
+        shown, default = parse_config(block), parse_config(MINIMAL)
+        assert (shown.model, shown.plan, shown.initial) == (
+            default.model, default.plan, default.initial)
 
 
 class TestScenarioArtifacts:
@@ -383,8 +396,14 @@ class TestCliProperties:
         n_sites = sections["model"]["n_sites"]
         faults += [("initial", key, bad) for key in sections.get("initial", ())
                    for bad in (n_sites, -1)]
+        # a valid key in a section the scenario does not read; transpile-report
+        # reads plan.dt as its default sample_time
+        unread = [("initial", "kind", "spike"), ("model_y", "delta_a", "1")]
+        if sections["run"]["scenario"] != "transpile-report":
+            unread.append(("plan", "n_steps", "3"))
+        faults += [fault for fault in unread if fault[0] not in sections]
         section, key, value = data.draw(st.sampled_from(faults))
-        sections = {**sections, section: {**sections[section], key: value}}
+        sections = {**sections, section: {**sections.get(section, {}), key: value}}
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "run.ini"
             cfg.write_text(_config_text(sections))
