@@ -84,8 +84,8 @@ class DiagonalGate:
 Gate = ControlledGate | DiagonalGate
 
 
-def relabel(gate: Gate, local) -> Gate:
-    """The same gate with qubit q moved to ``local[q]``; ``local`` is a dict or a range."""
+def relabel(gate: Gate, local: dict[int, int] | range) -> Gate:
+    """The same gate with qubit q moved to ``local[q]``."""
     if isinstance(gate, DiagonalGate):
         return DiagonalGate(tuple(local[q] for q in gate.qubits), gate.diagonal)
     return ControlledGate(local[gate.target], gate.unitary,

@@ -363,7 +363,7 @@ def count(circuit: BasisCircuit) -> GateCounts:
     return GateCounts(depth=depth, u1=u1, u3=u3, cx=cx)
 
 
-def _as_gate(op: BasisOp, local) -> ControlledGate | DiagonalGate:
+def _as_gate(op: BasisOp, local: dict[int, int]) -> ControlledGate | DiagonalGate:
     """The kernel gate of a basis op, with qubit q moved to ``local[q]``."""
     if isinstance(op, U1Gate):
         return DiagonalGate((local[op.qubit],), np.array([1.0, np.exp(1j * op.lam)]))
