@@ -114,6 +114,8 @@ class BasisCircuit:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if self.qubit_count < 1:
+            raise ValueError("qubit_count must be >= 1")
         object.__setattr__(self, "ops", tuple(self.ops))
         # one pass gathers the distinct qubits, dispatching on the exact op type
         qubits: set[int] = set()
@@ -236,8 +238,10 @@ def _emit_controlled(unitary: np.ndarray, controls: tuple[int, ...], target: int
 
     Returns the accumulated global phase. With two or more controls the op
     sequence does not depend on the qubits, so it is lowered once per
-    (unitary, k) on slot qubits 0..k-1 (controls) and k (target), kept in
-    ``memo``, and relabelled onto the real qubits at every use.
+    (unitary, k) on slot qubits 0..k-1 (controls) and k (target) and kept in
+    ``memo``. It is placed once per qubit tuple: ``memo`` also keeps the
+    relabelled ops for each (template, controls + target) pair, and a later
+    use on the same tuple appends those same frozen op instances.
     """
     u = np.asarray(unitary, dtype=complex)
     if not controls:
@@ -280,7 +284,10 @@ def _emit_controlled(unitary: np.ndarray, controls: tuple[int, ...], target: int
         memo[key] = (template, phase)
     template, phase = memo[key]
     slots = controls + (target,)
-    ops.extend(_relabel(op, slots) for op in template)
+    placed = memo.get((key, slots))
+    if placed is None:
+        placed = memo[key, slots] = tuple(_relabel(op, slots) for op in template)
+    ops.extend(placed)
     return phase
 
 
@@ -322,7 +329,7 @@ def decompose(circuit: Circuit | BasisCircuit) -> BasisCircuit:
         return circuit
     ops: list[BasisOp] = []
     phase = 0.0
-    memo: dict = {}  # multi-controlled templates, local to this call
+    memo: dict = {}  # multi-controlled templates and placements, local to this call
     for op in circuit.ops:
         if isinstance(op, DiagonalGate):
             phase += _emit_diagonal(op, ops)
@@ -359,8 +366,7 @@ def count(circuit: BasisCircuit) -> GateCounts:
         else:
             u3 += 1
         frontier[op.qubit] += 1
-    depth = max(frontier) if circuit.qubit_count else 0
-    return GateCounts(depth=depth, u1=u1, u3=u3, cx=cx)
+    return GateCounts(depth=max(frontier), u1=u1, u3=u3, cx=cx)
 
 
 def _as_gate(op: BasisOp, local: dict[int, int]) -> ControlledGate | DiagonalGate:
@@ -401,7 +407,24 @@ def equivalent_up_to_phase(u_a: np.ndarray, u_b: np.ndarray, tol: float = 1e-10)
 
 
 def emit_qasm(circuit: BasisCircuit) -> str:
-    """OpenQASM 2.0 text over u1/u3/cx, with the global phase as a comment."""
+    """OpenQASM 2.0 text over u1/u3/cx, with the global phase as a comment.
+
+    Each angle prints as its ``repr``. A lowered step repeats a few dozen
+    distinct angles across tens of thousands of ops, so each distinct
+    nonzero float is formatted once per call and its text reused.
+    """
+    text: dict[float, str] = {}
+
+    def fmt(x: float) -> str:
+        # only nonzero floats are kept: 0.0 == -0.0 and 1 == 1.0 as keys,
+        # yet they print differently; equal nonzero floats print alike
+        if type(x) is not float or not x:
+            return repr(x)
+        s = text.get(x)
+        if s is None:
+            s = text[x] = repr(x)
+        return s
+
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";']
     if circuit.label:
         lines.append(f"// {circuit.label}")
@@ -410,9 +433,9 @@ def emit_qasm(circuit: BasisCircuit) -> str:
     lines.append(f"qreg q[{circuit.qubit_count}];")
     for op in circuit.ops:
         if isinstance(op, U1Gate):
-            lines.append(f"u1({op.lam!r}) q[{op.qubit}];")
+            lines.append(f"u1({fmt(op.lam)}) q[{op.qubit}];")
         elif isinstance(op, U3Gate):
-            lines.append(f"u3({op.theta!r},{op.phi!r},{op.lam!r}) q[{op.qubit}];")
+            lines.append(f"u3({fmt(op.theta)},{fmt(op.phi)},{fmt(op.lam)}) q[{op.qubit}];")
         else:
             lines.append(f"cx q[{op.control}],q[{op.target}];")
     return "\n".join(lines) + "\n"

@@ -3,12 +3,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochsim.circuits import (
     Circuit,
     build_contact_phase,
+    build_inter_hop,
     build_trotter_step,
     build_two_particle_step,
     circuit_unitary,
@@ -144,6 +145,33 @@ def _gate(unitary, qubits, polarities) -> ControlledGate:
                           controls=tuple(zip(qubits[1:], polarities)))
 
 
+@st.composite
+def _placement_cases(draw):
+    """(n, gates): 2-5 gates with 2+ controls, each on the qubits of the one
+    before, on those qubits with the controls permuted, or on fresh qubits."""
+    n = draw(st.integers(3, 7))
+    pool = [draw(_lowering_unitaries()) for _ in range(draw(st.integers(1, 2)))]
+    gates = []
+    for _ in range(draw(st.integers(2, 5))):
+        move = draw(st.sampled_from(["same", "permuted", "fresh"])) if gates else "fresh"
+        if move == "fresh":
+            k = draw(st.integers(2, n - 1))
+            qubits = tuple(draw(st.permutations(range(n)))[:k + 1])
+            polarities = tuple(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
+        elif move == "permuted":
+            qubits = qubits[:1] + tuple(draw(st.permutations(qubits[1:])))
+        gates.append(_gate(draw(st.sampled_from(pool)), qubits, polarities))
+    return n, tuple(gates)
+
+
+def _assert_lowered_as_if_alone(n, gates):
+    """Lowering gates together gives each gate's own lowering, in order."""
+    together = decompose(Circuit(n, gates))
+    alone = [decompose(Circuit(n, (gate,))) for gate in gates]
+    assert together.ops == tuple(op for basis in alone for op in basis.ops)
+    assert abs(together.global_phase - sum(b.global_phase for b in alone)) <= 1e-12
+
+
 class TestLoweringProperties:
     @settings(max_examples=120, deadline=None)
     @given(_controlled_cases())
@@ -175,6 +203,17 @@ class TestLoweringProperties:
         copy = _relabelled(once.ops, dict(zip(first, second)))
         assert twice.ops == once.ops + copy
         assert twice.global_phase == once.global_phase + once.global_phase
+
+    @settings(max_examples=120, deadline=None)
+    @given(_placement_cases())
+    def test_each_gate_lowers_as_if_alone(self, case):
+        _assert_lowered_as_if_alone(*case)
+
+    @pytest.mark.parametrize("gamma", [2, 3, 4, 5, 6])
+    def test_inter_hop_gates_lower_as_if_alone(self, gamma):
+        # the decrement is the increment reversed: every C^kX is placed twice
+        circuit = build_inter_hop(params_with_gamma(gamma, delta_a=5.0, delta_b=1.0), DT)
+        _assert_lowered_as_if_alone(gamma, circuit.ops)
 
     @settings(max_examples=60, deadline=None)
     @given(_controlled_cases())
@@ -317,6 +356,11 @@ class TestBasisCircuitChecks:
         with pytest.raises(ValueError, match="qubit [23] outside register of 2"):
             BasisCircuit(2, (op, CXGate(1, 0)))
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_non_positive_qubit_count_rejected(self, n):
+        with pytest.raises(ValueError, match="qubit_count must be >= 1"):
+            BasisCircuit(n, ())
+
 
 class TestEquivalence:
     def test_accepts_pure_phase(self):
@@ -403,3 +447,39 @@ class TestQasmRoundTrip:
         assert back.ops == circuit.ops
         assert back.global_phase == circuit.global_phase
         assert emit_qasm(back) == text
+
+
+# each circuit draws its angles from a pool of at most four, so ops repeat
+# floats; signed zeros, subnormals, nan, inf and ints (1 == 1.0 as dict keys,
+# yet they print differently) are forced in
+_TEXT_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, float("nan"), 1, 1.0, -2, -2.0]),
+    st.floats(),
+)
+
+
+@st.composite
+def _repeating_angle_circuits(draw):
+    n = draw(st.integers(1, 4))
+    angle = st.sampled_from(draw(st.lists(_TEXT_ANGLES, min_size=1, max_size=4)))
+    qubit = st.integers(0, n - 1)
+    op = st.one_of(st.builds(U1Gate, qubit, angle), st.builds(U3Gate, qubit, angle, angle, angle))
+    return BasisCircuit(n, tuple(draw(st.lists(op, min_size=1, max_size=20))))
+
+
+def _angle_line(op) -> str:
+    """The line of a u1/u3 op, each angle formatted afresh."""
+    if isinstance(op, U1Gate):
+        return f"u1({op.lam!r}) q[{op.qubit}];"
+    return f"u3({op.theta!r},{op.phi!r},{op.lam!r}) q[{op.qubit}];"
+
+
+class TestQasmAngleText:
+    @settings(max_examples=200, deadline=None)
+    @given(_repeating_angle_circuits())
+    @example(BasisCircuit(1, (U1Gate(0, 0.0), U1Gate(0, -0.0), U3Gate(0, 0.0, -0.0, 0.0))))
+    @example(BasisCircuit(1, (U1Gate(0, -0.0), U1Gate(0, 0.0), U3Gate(0, -0.0, 0.0, -0.0))))
+    @example(BasisCircuit(1, (U1Gate(0, 1.0), U1Gate(0, 1), U1Gate(0, 1.0))))
+    def test_each_angle_prints_as_its_own_repr(self, circuit):
+        lines = emit_qasm(circuit).splitlines()
+        assert lines[-len(circuit.ops):] == [_angle_line(op) for op in circuit.ops]
