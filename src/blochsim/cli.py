@@ -50,8 +50,11 @@ _MODEL_DEFAULTS = {
 }
 _PLAN_KEYS = ("dt", "n_steps", "stepper", "field_sampling", "store_states")
 _INITIAL_KEYS = ("kind", "site", "site1", "site2")
-#: bytes a run may hold in its trajectory, the dense cap's budget
+#: bytes a run may hold in its trajectory or scenario arrays, the dense cap's budget
 _MEMORY_BUDGET = DENSE_DIM_MAX ** 2 * 16
+#: highest Bessel order bessel-check computes, far past the oracle's n <= 60;
+#: the recurrence's time grows faster than linearly with the order
+_BESSEL_ORDER_MAX = 100_000
 
 
 class ConfigError(ValueError):
@@ -75,6 +78,12 @@ class RunConfig:
 
 def _fail(section: str, key: str, message: str):
     raise ConfigError(f"{section}.{key}: {message}")
+
+
+def _check_bytes(section: str, key: str, what: str, needed: int) -> None:
+    """Refuse arrays that need more than the memory budget, blaming section.key."""
+    if needed > _MEMORY_BUDGET:
+        _fail(section, key, f"{what} needs {needed} bytes; the limit is {_MEMORY_BUDGET} bytes")
 
 
 class _Section:
@@ -157,6 +166,8 @@ def _dispersion_extras(sec: _Section, plan_sec: _Section) -> dict:
     k_points = sec.get_int("k_points", 201)
     if k_points < 2:
         _fail("scenario", "k_points", f"must be >= 2, got {k_points}")
+    # k, cos 2k and the two bands, float64 each
+    _check_bytes("scenario", "k_points", f"a grid of {k_points} k points", 32 * k_points)
     return {"k_points": k_points}
 
 
@@ -172,6 +183,10 @@ def _ladder_extras(sec: _Section, plan_sec: _Section) -> dict:
     band_list = [tok.strip() for tok in bands.split(",") if tok.strip()]
     if not band_list or any(b not in ("-", "+") for b in band_list):
         _fail("scenario", "bands", f"must list '-' and/or '+', got {bands!r}")
+    # per band its alphas, its energies and their stacked copy, plus one temporary
+    rungs = alpha_max - alpha_min + 1
+    _check_bytes("scenario", "alpha_max", f"{rungs} rungs in {len(band_list)} bands",
+                 rungs * (24 * len(band_list) + 8))
     return {"f_const": f_const, "alpha_min": alpha_min, "alpha_max": alpha_max,
             "bands": band_list}
 
@@ -184,7 +199,17 @@ def _bessel_extras(sec: _Section, plan_sec: _Section) -> dict:
     n_max = sec.get_int("n_max", 40)
     if n_max < 0:
         _fail("scenario", "n_max", f"must be >= 0, got {n_max}")
-    return {"n_max": n_max, "x_values": sec.get_floats("x_values", "0.5, 2.0, 7.5, 20.0")}
+    if n_max > _BESSEL_ORDER_MAX:
+        _fail("scenario", "n_max", f"must be <= {_BESSEL_ORDER_MAX}, got {n_max}")
+    x_values = sec.get_floats("x_values", "0.5, 2.0, 7.5, 20.0")
+    # the sum-rule check runs each x up to order |x| + 40
+    widest = max(map(abs, x_values))
+    if widest > _BESSEL_ORDER_MAX - 40:
+        _fail("scenario", "x_values", f"|x| must be <= {_BESSEL_ORDER_MAX - 40}, got {widest}")
+    # the per-x sequences and their stacked copy
+    _check_bytes("scenario", "x_values", f"{len(x_values)} x values of {n_max + 1} orders",
+                 16 * len(x_values) * (n_max + 1))
+    return {"n_max": n_max, "x_values": x_values}
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +345,8 @@ def _check_trajectory_bytes(config: RunConfig) -> None:
     """
     plan = config.plan
     rows, dim = plan.n_steps + 1, _state_dim(config)
-    needed = rows * dim * (16 + 8 if plan.store_states else 8)
-    if needed > _MEMORY_BUDGET:
-        _fail("plan", "n_steps", f"a trajectory of {rows} states of dimension {dim} needs "
-              f"{needed} bytes; the limit is {_MEMORY_BUDGET} bytes")
+    _check_bytes("plan", "n_steps", f"a trajectory of {rows} states of dimension {dim}",
+                 rows * dim * (16 + 8 if plan.store_states else 8))
 
 
 _SINGLE_INITIAL = {"spike": {"site": 2}, "gaussian": {}}

@@ -2,10 +2,11 @@
 
 Multi-controlled gates are expanded with the standard two-CX ABC
 construction (one control) and the recursive square-root construction
-(more controls). Diagonal gates become parity ladders: a Walsh-Hadamard
-transform of the phase vector yields one Z-string angle per qubit subset,
-and each string is a CX ladder around a U1. The global phase created by
-these rewrites is tracked explicitly and reported, never dropped.
+(more controls), each distinct one lowered once per call on its own qubits.
+Diagonal gates become parity ladders: a Walsh-Hadamard transform of the
+phase vector yields one Z-string angle per qubit subset, and each string is
+a CX ladder around a U1. The global phase created by these rewrites is
+tracked explicitly and reported, never dropped.
 """
 from __future__ import annotations
 
@@ -223,25 +224,14 @@ def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
 # controlled-gate lowering
 
 
-def _relabel(op: BasisOp, slots: tuple[int, ...]) -> BasisOp:
-    """The same op with qubit q moved to ``slots[q]``."""
-    if isinstance(op, U1Gate):
-        return U1Gate(slots[op.qubit], op.lam)
-    if isinstance(op, U3Gate):
-        return U3Gate(slots[op.qubit], op.theta, op.phi, op.lam)
-    return CXGate(slots[op.control], slots[op.target])
-
-
 def _emit_controlled(unitary: np.ndarray, controls: tuple[int, ...], target: int,
                      ops: list[BasisOp], memo: dict) -> float:
     """Append basis ops for a k-controlled 2x2 unitary (all controls fire on 1).
 
-    Returns the accumulated global phase. With two or more controls the op
-    sequence does not depend on the qubits, so it is lowered once per
-    (unitary, k) on slot qubits 0..k-1 (controls) and k (target) and kept in
-    ``memo``. It is placed once per qubit tuple: ``memo`` also keeps the
-    relabelled ops for each (template, controls + target) pair, and a later
-    use on the same tuple appends those same frozen op instances.
+    Returns the accumulated global phase. With two or more controls the ops
+    and phase are kept in ``memo`` per (unitary, controls, target), so each
+    distinct gate, the sub-gates of the recursion included, is lowered once
+    per ``decompose`` call and a later use appends the same frozen ops.
     """
     u = np.asarray(unitary, dtype=complex)
     if not controls:
@@ -268,26 +258,21 @@ def _emit_controlled(unitary: np.ndarray, controls: tuple[int, ...], target: int
             ops.append(U1Gate(c, alpha))
         return phase
 
-    k = len(controls)
-    key = (u.tobytes(), k)
+    key = (u.tobytes(), controls, target)
     if key not in memo:
         # C^k(U) = [CV on last control] [C^{k-1}X] [CV^dag] [C^{k-1}X]
         #          [C^{k-1}V on remaining controls], V = sqrt(U)
-        rest, last, slot_target = tuple(range(k - 1)), k - 1, k
+        rest, last = controls[:-1], controls[-1]
         v = _unitary_sqrt(u)
-        template: list[BasisOp] = []
-        phase = _emit_controlled(v, (last,), slot_target, template, memo)
-        phase += _emit_controlled(_X, rest, last, template, memo)
-        phase += _emit_controlled(v.conj().T, (last,), slot_target, template, memo)
-        phase += _emit_controlled(_X, rest, last, template, memo)
-        phase += _emit_controlled(v, rest, slot_target, template, memo)
-        memo[key] = (template, phase)
-    template, phase = memo[key]
-    slots = controls + (target,)
-    placed = memo.get((key, slots))
-    if placed is None:
-        placed = memo[key, slots] = tuple(_relabel(op, slots) for op in template)
-    ops.extend(placed)
+        lowered: list[BasisOp] = []
+        phase = _emit_controlled(v, (last,), target, lowered, memo)
+        phase += _emit_controlled(_X, rest, last, lowered, memo)
+        phase += _emit_controlled(v.conj().T, (last,), target, lowered, memo)
+        phase += _emit_controlled(_X, rest, last, lowered, memo)
+        phase += _emit_controlled(v, rest, target, lowered, memo)
+        memo[key] = (tuple(lowered), phase)
+    lowered, phase = memo[key]
+    ops.extend(lowered)
     return phase
 
 
@@ -329,7 +314,7 @@ def decompose(circuit: Circuit | BasisCircuit) -> BasisCircuit:
         return circuit
     ops: list[BasisOp] = []
     phase = 0.0
-    memo: dict = {}  # multi-controlled templates and placements, local to this call
+    memo: dict = {}  # multi-controlled lowerings, local to this call
     for op in circuit.ops:
         if isinstance(op, DiagonalGate):
             phase += _emit_diagonal(op, ops)
@@ -448,6 +433,17 @@ _QASM_PATTERNS = (
 )
 
 
+def _angle(text: str, line: str) -> float:
+    """A finite float read from QASM text; errors name the line."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise ValueError(f"not an angle {text.strip()!r}: {line}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"angle {text.strip()!r} is not finite: {line}")
+    return x
+
+
 def parse_qasm(text: str) -> BasisCircuit:
     """Parse the QASM subset emitted by emit_qasm back into a BasisCircuit."""
     qubit_count = None
@@ -466,10 +462,12 @@ def parse_qasm(text: str) -> BasisCircuit:
         if line.startswith("//"):
             m = re.match(r"^// global phase:\s*(\S+)$", line)
             if m:
-                global_phase = float(m.group(1))
+                global_phase = _angle(m.group(1), line)
             continue
         m = re.match(r"^qreg\s+q\[(\d+)\];$", line)
         if m:
+            if qubit_count is not None:
+                raise ValueError(f"repeated qreg declaration: {line}")
             qubit_count = int(m.group(1))
             continue
         for pattern, kind in _QASM_PATTERNS:
@@ -477,9 +475,9 @@ def parse_qasm(text: str) -> BasisCircuit:
             if not m:
                 continue
             if kind == "u1":
-                ops.append(U1Gate(int(m.group(2)), float(m.group(1))))
+                ops.append(U1Gate(int(m.group(2)), _angle(m.group(1), line)))
             elif kind == "u3":
-                angles = [float(x) for x in m.group(1).split(",")]
+                angles = [_angle(x, line) for x in m.group(1).split(",")]
                 if len(angles) != 3:
                     raise ValueError(f"u3 needs three angles: {line}")
                 ops.append(U3Gate(int(m.group(2)), *angles))

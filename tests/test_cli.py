@@ -277,12 +277,30 @@ class TestMain:
         ("[run]\nscenario = single-ode\n[model]\nn_sites = 1048576\n", "plan.n_steps=100"),
         ("[run]\nscenario = two-particle\n[model]\nn_sites = 1024\n"
          "[plan]\nstore_states = false\n", "plan.n_steps=200"),
+        # scenario arrays past the same budget: 32 bytes a k point, 24 bytes a
+        # rung per band plus 8, 16 bytes an order per x value
+        ("[run]\nscenario = dispersion\n", "scenario.k_points=1000000000"),
+        ("[run]\nscenario = ladder\n[scenario]\nalpha_min = -1000000000\n",
+         "scenario.alpha_max=1000000000"),
+        ("[run]\nscenario = bessel-check\n[scenario]\nn_max = 100000\n",
+         "scenario.x_values=" + ", ".join(["1"] * 700)),
+        # Bessel orders past the cap, from n_max or from |x| + 40
+        ("[run]\nscenario = bessel-check\n", "scenario.n_max=3000000"),
+        ("[run]\nscenario = bessel-check\n", "scenario.x_values=2, -1e9"),
     ])
     def test_bad_value_exits_two_with_section_key(self, tmp_path, capsys, text, override):
         code, _ = _run_main(tmp_path, text, "--override", override)
         assert code == 2
         location = override.split("=", 1)[0]
         assert capsys.readouterr().err.startswith(f"config error: {location}: ")
+
+    def test_scenario_sizes_at_their_limits_parse(self):
+        # 32 * 2**25 bytes is the budget itself; the cap order and |x| pass
+        grid = parse_config("[run]\nscenario = dispersion\n[scenario]\nk_points = 33554432\n")
+        assert grid.extras["k_points"] == 2 ** 25
+        bessel = parse_config("[run]\nscenario = bessel-check\n"
+                              "[scenario]\nn_max = 100000\nx_values = -99960, 0\n")
+        assert bessel.extras == {"n_max": 100000, "x_values": [-99960.0, 0.0]}
 
     def test_rk4_blow_up_exits_nonzero(self, tmp_path, capsys):
         code, _ = _run_main(

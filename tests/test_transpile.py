@@ -164,6 +164,10 @@ def _placement_cases(draw):
     return n, tuple(gates)
 
 
+# a fixed non-diagonal unitary for the pinned placement examples
+_U = _random_unitary_2x2(np.random.default_rng(7))
+
+
 def _assert_lowered_as_if_alone(n, gates):
     """Lowering gates together gives each gate's own lowering, in order."""
     together = decompose(Circuit(n, gates))
@@ -186,6 +190,8 @@ class TestLoweringProperties:
     @settings(max_examples=120, deadline=None)
     @given(_controlled_cases())
     def test_lowering_relabels_the_slot_lowering(self, case):
+        # decompose lowers each gate on its own qubits; moving the qubits must
+        # move the ops and nothing else (qubit-equivariance)
         n, u, qubits, _, polarities = case
         k = len(polarities)
         slots = (k,) + tuple(range(k))  # target k, controls 0..k-1
@@ -206,12 +212,16 @@ class TestLoweringProperties:
 
     @settings(max_examples=120, deadline=None)
     @given(_placement_cases())
+    # the same controls on a new target, and the same controls reversed: the
+    # memo key must hold the target and the controls in order
+    @example((4, (_gate(_U, (0, 1, 2), (1, 1)), _gate(_U, (3, 1, 2), (1, 1)))))
+    @example((4, (_gate(_U, (0, 1, 2, 3), (1, 1, 1)), _gate(_U, (0, 3, 2, 1), (1, 1, 1)))))
     def test_each_gate_lowers_as_if_alone(self, case):
         _assert_lowered_as_if_alone(*case)
 
     @pytest.mark.parametrize("gamma", [2, 3, 4, 5, 6])
     def test_inter_hop_gates_lower_as_if_alone(self, gamma):
-        # the decrement is the increment reversed: every C^kX is placed twice
+        # the decrement is the increment reversed: every C^kX is reused once
         circuit = build_inter_hop(params_with_gamma(gamma, delta_a=5.0, delta_b=1.0), DT)
         _assert_lowered_as_if_alone(gamma, circuit.ops)
 
@@ -410,6 +420,20 @@ class TestQasm:
     def test_parse_rejects_unknown_gate(self):
         text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nh q[0];\n'
         with pytest.raises(ValueError, match="h"):
+            parse_qasm(text)
+
+    @pytest.mark.parametrize("line", ["u1(1,2) q[0];", "u3(a,b,c) q[0];", "u3(0,x,1) q[0];",
+                                      "u1(nan) q[0];", "u1(inf) q[0];", "u3(0,-inf,1) q[0];",
+                                      "// global phase: nan", "// global phase: pi"])
+    def test_parse_rejects_bad_angles_naming_the_line(self, line):
+        text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n{line}\n'
+        with pytest.raises(ValueError, match="angle") as err:
+            parse_qasm(text)
+        assert line in str(err.value)
+
+    def test_parse_rejects_repeated_qreg(self):
+        text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nqreg q[3];\ncx q[0],q[2];\n'
+        with pytest.raises(ValueError, match=r"qreg q\[3\]"):
             parse_qasm(text)
 
     def test_parse_rejects_missing_header(self):
