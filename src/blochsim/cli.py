@@ -31,26 +31,18 @@ from .model import ModelParams
 from .evolve import EvolutionPlan, initial_amplitudes, run, write_trajectory_csv
 from . import observables as obs
 from .observables import write_csv
-from .oracles import (
-    DENSE_DIM_MAX,
-    bessel_jn_sequence,
-    check_dense_dim,
-    dense_2d_hamiltonian,
-    dense_hamiltonian,
-)
+from .oracles import DENSE_DIM_MAX, bessel_jn_sequence, dense_2d_hamiltonian, dense_hamiltonian
 from .circuits import build_trotter_step, build_two_particle_step
 from .transpile import REFERENCE_STEP_COUNTS_3Q, count, decompose, emit_qasm
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run_scenario", "main"]
 
-_MODEL_KEYS = ("delta_a", "delta_b", "f_dc", "f_ac", "omega", "v", "n_sites")
+_SECTIONS = ("run", "model", "plan", "initial", "scenario", "model_y")
 _MODEL_DEFAULTS = {
     "delta_a": 5.0, "delta_b": 1.0, "f_dc": 1.5, "f_ac": 0.0,
     "omega": 0.0, "v": 0.0, "n_sites": 4,
 }
-_PLAN_KEYS = ("dt", "n_steps", "stepper", "field_sampling", "store_states")
-_INITIAL_KEYS = ("kind", "site", "site1", "site2")
-#: bytes a run may hold in its trajectory or scenario arrays, the dense cap's budget
+#: bytes a run may hold in a dense matrix, its trajectory or its scenario arrays
 _MEMORY_BUDGET = DENSE_DIM_MAX ** 2 * 16
 #: highest Bessel order bessel-check computes, far past the oracle's n <= 60;
 #: the recurrence's time grows faster than linearly with the order
@@ -87,20 +79,23 @@ def _check_bytes(section: str, key: str, what: str, needed: int) -> None:
 
 
 class _Section:
-    """One config section with typed getters and unknown-key rejection."""
+    """One config section with typed getters that record the keys asked for.
 
-    def __init__(self, parser: configparser.ConfigParser, name: str, allowed):
+    Every getter goes through ``get``, which adds its key to ``read``;
+    ``parse_config`` then refuses any key of the section that nothing read.
+    """
+
+    def __init__(self, parser: configparser.ConfigParser, name: str):
         self.name = name
         self.raw = dict(parser.items(name)) if parser.has_section(name) else {}
-        for key in self.raw:
-            if key not in allowed:
-                _fail(name, key, "unknown key")
+        self.read: set[str] = set()
 
     def get(self, key: str, default=None):
+        self.read.add(key)
         return self.raw.get(key, default)
 
     def get_float(self, key: str, default: float) -> float:
-        value = self.raw.get(key)
+        value = self.get(key)
         if value is None:
             return float(default)
         try:
@@ -112,7 +107,7 @@ class _Section:
         return number
 
     def get_int(self, key: str, default: int) -> int:
-        value = self.raw.get(key)
+        value = self.get(key)
         if value is None:
             return int(default)
         try:
@@ -121,7 +116,7 @@ class _Section:
             _fail(self.name, key, f"not an integer: {value!r}")
 
     def get_bool(self, key: str, default: bool):
-        value = self.raw.get(key)
+        value = self.get(key)
         if value is None:
             return default
         lowered = value.strip().lower()
@@ -132,7 +127,7 @@ class _Section:
         _fail(self.name, key, f"not a boolean: {value!r}")
 
     def get_floats(self, key: str, default: str):
-        text = self.raw.get(key, default)
+        text = self.get(key, default)
         try:
             numbers = [float(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
@@ -145,7 +140,7 @@ class _Section:
 
 
 def _model_from(section: _Section) -> ModelParams:
-    kwargs = {key: section.get_float(key, _MODEL_DEFAULTS[key]) for key in _MODEL_KEYS
+    kwargs = {key: section.get_float(key, default) for key, default in _MODEL_DEFAULTS.items()
               if key != "n_sites"}
     kwargs["n_sites"] = section.get_int("n_sites", _MODEL_DEFAULTS["n_sites"])
     try:
@@ -306,23 +301,21 @@ class _Scenario:
     """What one scenario reads from the config, and the runner that executes it.
 
     ``steppers`` are the plan.stepper values it accepts, default first; a
-    scenario without steppers takes no [plan]. ``initial`` maps each initial
+    scenario without steppers reads no [plan]. ``initial`` maps each initial
     kind it accepts to that kind's default sites, default kind first; an
-    empty map means it takes no [initial]. ``extras`` parses the [scenario]
-    keys named in ``extra_keys``.
+    empty map means it reads no [initial]. ``extras`` reads the [scenario]
+    keys, and may read [plan] keys too. A key that none of these read is a
+    config error, since each section records the keys asked of it.
     """
 
     runner: Callable[[RunConfig, Path], tuple[list[str], dict]]
     steppers: tuple[str, ...] = ()
     initial: dict[str, dict[str, int]] = field(default_factory=dict)
-    extra_keys: tuple[str, ...] = ()
     extras: Callable[[_Section, _Section], dict] | None = None
     #: runs gate circuits, so n_sites must be 2**gamma
     circuit: bool = False
     #: writes amplitudes, so plan.store_states must stay true
     needs_states: bool = False
-    #: accepts a [plan] it does not evolve; plan.dt is the default sample_time
-    ignores_plan: bool = False
     #: reads a second axis from [model_y]
     model_y: bool = False
     #: dimension of the dense matrix a run of this config builds, 0 for none
@@ -362,16 +355,13 @@ _SCENARIOS: dict[str, _Scenario] = {
     "two-particle": _Scenario(_run_evolution, steppers=("trotter1", "exact-dense"),
                               initial={"spike2": {"site1": 1, "site2": 2}}, circuit=True,
                               dense_dim=_evolution_dense_dim),
-    "spectrum": _Scenario(_run_spectrum, extra_keys=("f_values",), extras=_spectrum_extras,
+    "spectrum": _Scenario(_run_spectrum, extras=_spectrum_extras,
                           dense_dim=lambda config: config.model.n_sites),
-    "dispersion": _Scenario(_run_dispersion, extra_keys=("k_points",),
-                            extras=_dispersion_extras),
-    "ladder": _Scenario(_run_ladder, extra_keys=("f_const", "alpha_min", "alpha_max", "bands"),
-                        extras=_ladder_extras),
-    "transpile-report": _Scenario(_run_transpile_report, extra_keys=("sample_time",),
-                                  extras=_transpile_extras, circuit=True, ignores_plan=True),
-    "bessel-check": _Scenario(_run_bessel_check, extra_keys=("n_max", "x_values"),
-                              extras=_bessel_extras),
+    "dispersion": _Scenario(_run_dispersion, extras=_dispersion_extras),
+    "ladder": _Scenario(_run_ladder, extras=_ladder_extras),
+    # reads plan.dt alone, as the default sample_time
+    "transpile-report": _Scenario(_run_transpile_report, extras=_transpile_extras, circuit=True),
+    "bessel-check": _Scenario(_run_bessel_check, extras=_bessel_extras),
     "dim2": _Scenario(_run_dim2, model_y=True,
                       dense_dim=lambda config: config.model.n_sites * config.model_y.n_sites),
 }
@@ -408,10 +398,6 @@ def _initial_from(sec: _Section, scenario: str, entry: _Scenario, n_sites: int) 
     if kind not in entry.initial:
         _fail("initial", "kind", f"{scenario} takes {' or '.join(entry.initial)}, got {kind!r}")
     sites = entry.initial[kind]
-    for key in sec.raw:
-        if key != "kind" and key not in sites:
-            takes = " or ".join(sites) if sites else "no site"
-            _fail("initial", key, f"kind {kind} takes {takes}")
     initial = {"kind": kind}
     for key, default in sites.items():
         initial[key] = sec.get_int(key, default)
@@ -441,13 +427,13 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> RunConfig:
             parser.add_section(section)
         parser.set(section, key.strip(), value.strip())
 
-    # a [DEFAULT] would copy its keys into every section, past the key checks
-    sections = parser.sections() + ([parser.default_section] if parser.defaults() else [])
-    for name in sections:
-        if name not in ("run", "model", "plan", "initial", "scenario", "model_y"):
+    # a [DEFAULT] would copy its keys into every section
+    for name in parser.sections() + ([parser.default_section] if parser.defaults() else []):
+        if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]")
+    sections = {name: _Section(parser, name) for name in _SECTIONS}
 
-    run_sec = _Section(parser, "run", ("scenario", "label"))
+    run_sec = sections["run"]
     scenario = run_sec.get("scenario", "")
     if not scenario:
         _fail("run", "scenario", "required key missing")
@@ -456,30 +442,26 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> RunConfig:
     entry = _SCENARIOS[scenario]
     label = run_sec.get("label", scenario)
 
-    model = _model_from(_Section(parser, "model", _MODEL_KEYS))
+    model = _model_from(sections["model"])
     if entry.circuit and model.gamma is None:
         _fail("model", "n_sites",
               f"must be a power of two for scenario {scenario}, got {model.n_sites}")
-
-    plan_sec = _Section(parser, "plan", _PLAN_KEYS)
-    init_sec = _Section(parser, "initial", _INITIAL_KEYS)
-    y_sec = _Section(parser, "model_y", _MODEL_KEYS)
-    # a non-empty section that the scenario does not read fails on its first key
-    for sec, reads in ((plan_sec, entry.steppers or entry.ignores_plan),
-                       (init_sec, entry.initial), (y_sec, entry.model_y)):
-        if sec.raw and not reads:
-            _fail(sec.name, sorted(sec.raw)[0], f"scenario {scenario} takes no [{sec.name}]")
+    plan_sec, init_sec = sections["plan"], sections["initial"]
     plan = _plan_from(plan_sec, scenario, entry) if entry.steppers else None
     initial = _initial_from(init_sec, scenario, entry, model.n_sites) if entry.initial else {}
-    extras_sec = _Section(parser, "scenario", entry.extra_keys)
-    extras = entry.extras(extras_sec, plan_sec) if entry.extras else {}
-    model_y = _model_from(y_sec) if entry.model_y else None
+    extras = entry.extras(sections["scenario"], plan_sec) if entry.extras else {}
+    model_y = _model_from(sections["model_y"]) if entry.model_y else None
+
+    # the one check for keys nothing read: the first such key in file order fails
+    for sec in sections.values():
+        unread = [key for key in sec.raw if key not in sec.read]
+        if unread:
+            _fail(sec.name, unread[0],
+                  "unknown key" if sec.read else f"scenario {scenario} takes no [{sec.name}]")
 
     config = RunConfig(scenario, label, model, plan, initial, extras, model_y)
-    try:
-        check_dense_dim(entry.dense_dim(config))
-    except ValueError as exc:
-        _fail("model", "n_sites", str(exc))
+    dim = entry.dense_dim(config)
+    _check_bytes("model", "n_sites", f"a dense {dim}x{dim} complex matrix", 16 * dim * dim)
     if entry.steppers:
         _check_trajectory_bytes(config)
     return config

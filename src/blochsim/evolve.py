@@ -16,6 +16,7 @@ times, available for single-particle states.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ class EvolutionPlan:
     store_states: bool = True
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt: must be > 0, got {self.dt}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt: must be > 0 and finite, got {self.dt}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps: must be >= 0, got {self.n_steps}")
         if self.stepper not in STEPPERS:

@@ -97,7 +97,7 @@ def dense_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) through a Hermitian eigendecomposition."""
     h = np.asarray(h, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * scale:
+    if not np.max(np.abs(h - h.conj().T)) <= HERMITICITY_TOL * scale:  # also true for NaN
         raise ValueError("dense_propagator requires a Hermitian matrix")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * dt)) @ v.conj().T

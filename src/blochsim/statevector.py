@@ -37,7 +37,7 @@ class ControlledGate:
         u = np.asarray(self.unitary, dtype=complex)
         if u.shape != (2, 2):
             raise ValueError(f"gate unitary must be 2x2, got {u.shape}")
-        if abs(u.conj().T @ u - _EYE2).max() > UNITARY_TOL:
+        if not abs(u.conj().T @ u - _EYE2).max() <= UNITARY_TOL:  # also true for NaN
             raise ValueError("gate matrix is not unitary")
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "controls", tuple((int(q), int(p)) for q, p in self.controls))
@@ -75,7 +75,7 @@ class DiagonalGate:
         d = np.asarray(self.diagonal, dtype=complex).ravel()
         if d.size != 2 ** len(qs):
             raise ValueError(f"diagonal length {d.size} does not match {len(qs)} qubits")
-        if abs(abs(d) - 1.0).max() > UNITARY_TOL:
+        if not abs(abs(d) - 1.0).max() <= UNITARY_TOL:  # also true for NaN
             raise ValueError("diagonal entries must have unit modulus")
         object.__setattr__(self, "qubits", qs)
         object.__setattr__(self, "diagonal", d)
@@ -113,7 +113,7 @@ class Statevector:
                 f"{num_registers} register(s) of {qubits_per_register} qubits"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also true for NaN
             raise ValueError(f"state norm {norm!r} is not 1")
         self.num_registers = num_registers
         self.qubits_per_register = qubits_per_register

@@ -1,4 +1,5 @@
 """Config parsing, scenario execution, artifacts, and exit codes."""
+import configparser
 import contextlib
 import io
 import json
@@ -104,7 +105,8 @@ class TestParsing:
             parse_config("[run]\nscenario = dispersion\n[scenario]\nk_points = 1\n")
         with pytest.raises(ConfigError, match=r"scenario\.bands"):
             parse_config("[run]\nscenario = ladder\n[scenario]\nbands = up\n")
-        with pytest.raises(ConfigError, match=r"scenario\.t_end: unknown key"):
+        with pytest.raises(ConfigError,
+                           match=r"scenario\.t_end: scenario dim2 takes no \[scenario\]"):
             parse_config("[run]\nscenario = dim2\n[scenario]\nt_end = 0.5\n")
 
     def test_model_y_only_for_dim2(self):
@@ -112,17 +114,90 @@ class TestParsing:
                            match=r"^model_y\.delta_a: scenario single-trotter takes no \[model_y\]"):
             parse_config(MINIMAL + "[model_y]\ndelta_a = 1\n")
 
+    def test_transpile_report_takes_plan_dt_as_sample_time(self):
+        text = "[run]\nscenario = transpile-report\n[plan]\ndt = 0.05\n"
+        assert parse_config(text).extras == {"sample_time": 0.05}
+        with_both = parse_config(text + "[scenario]\nsample_time = 0.1\n")
+        assert with_both.extras == {"sample_time": 0.1}
+
     def test_empty_unread_sections_are_tolerated(self):
         config = parse_config("[run]\nscenario = spectrum\n[plan]\n[initial]\n[model_y]\n")
         assert config.plan is None and config.initial == {} and config.model_y is None
 
     def test_readme_config_block_parses_to_the_defaults(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        after = readme.split("All sections and keys, with defaults:", 1)[1]
-        block = after.split("```ini\n", 1)[1].split("```", 1)[0]
-        shown, default = parse_config(block), parse_config(MINIMAL)
+        shown, default = parse_config(_readme_config_block()), parse_config(MINIMAL)
         assert (shown.model, shown.plan, shown.initial) == (
             default.model, default.plan, default.initial)
+
+
+def _readme_config_block() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme.split("All sections and keys, with defaults:", 1)[1]
+    return after.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+_RUN = {"run.label"}
+_MODEL = {f"model.{key}" for key in
+          ("delta_a", "delta_b", "f_dc", "f_ac", "omega", "v", "n_sites")}
+_PLAN = {f"plan.{key}" for key in ("dt", "n_steps", "stepper", "field_sampling", "store_states")}
+_EVOLUTION = _RUN | _MODEL | _PLAN
+#: the keys each scenario reads, out of the README block's keys, their
+#: [model_y] copies, the keys of _PROBE_VALUES and one bogus key a section
+_READS = {
+    "single-exact": _EVOLUTION | {"initial.kind", "initial.site"},
+    "single-trotter": _EVOLUTION | {"initial.kind", "initial.site"},
+    "single-ode": _EVOLUTION | {"initial.kind", "initial.site"},
+    "two-particle": _EVOLUTION | {"initial.kind", "initial.site1", "initial.site2"},
+    "spectrum": _RUN | _MODEL | {"scenario.f_values"},
+    "dispersion": _RUN | _MODEL | {"scenario.k_points"},
+    "ladder": _RUN | _MODEL | {f"scenario.{key}" for key in
+                               ("f_const", "alpha_min", "alpha_max", "bands")},
+    "transpile-report": _RUN | _MODEL | {"plan.dt", "scenario.sample_time"},
+    "bessel-check": _RUN | _MODEL | {"scenario.n_max", "scenario.x_values"},
+    "dim2": _RUN | _MODEL | {key.replace("model.", "model_y.") for key in _MODEL},
+}
+_PROBE_VALUES = {
+    "initial.site1": "1", "initial.site2": "2", "scenario.f_values": "0, 1",
+    "scenario.k_points": "11", "scenario.f_const": "1", "scenario.alpha_min": "-2",
+    "scenario.alpha_max": "2", "scenario.bands": "+", "scenario.sample_time": "0.1",
+    "scenario.n_max": "4", "scenario.x_values": "1.5",
+}
+
+
+def _probe_values() -> dict[str, str]:
+    """section.key -> a valid value, for every key the read-set table probes."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(_readme_config_block())
+    values = {f"{section}.{key}": value for section in parser.sections()
+              for key, value in parser.items(section) if (section, key) != ("run", "scenario")}
+    values.update({key.replace("model.", "model_y.", 1): value for key, value in values.items()
+                   if key.startswith("model.")})
+    values.update(_PROBE_VALUES)
+    values.update({f"{section}.bogus": "1" for section in
+                   ("run", "model", "plan", "initial", "scenario", "model_y")})
+    return values
+
+
+class TestReadSet:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_each_scenario_accepts_exactly_the_keys_it_reads(self, scenario):
+        base = parse_config(f"[run]\nscenario = {scenario}\n")
+        # the scenario's own default where it has one, so only reading decides
+        plan = vars(base.plan) if base.plan else {}
+        own = {f"plan.{key}": str(value) for key, value in plan.items()}
+        own.update({f"initial.{key}": str(value) for key, value in base.initial.items()})
+        accepted = set()
+        for location, value in _probe_values().items():
+            section, key = location.split(".")
+            sections = {"run": {"scenario": scenario}}
+            sections.setdefault(section, {})[key] = own.get(location, value)
+            try:
+                parse_config(_config_text(sections))
+            except ConfigError as exc:
+                assert str(exc).startswith(f"{location}: "), exc
+            else:
+                accepted.add(location)
+        assert accepted == _READS[scenario]
 
 
 class TestScenarioArtifacts:
@@ -287,6 +362,8 @@ class TestMain:
         # Bessel orders past the cap, from n_max or from |x| + 40
         ("[run]\nscenario = bessel-check\n", "scenario.n_max=3000000"),
         ("[run]\nscenario = bessel-check\n", "scenario.x_values=2, -1e9"),
+        # transpile-report reads plan.dt alone
+        ("[run]\nscenario = transpile-report\n", "plan.n_steps=3"),
     ])
     def test_bad_value_exits_two_with_section_key(self, tmp_path, capsys, text, override):
         code, _ = _run_main(tmp_path, text, "--override", override)
@@ -415,10 +492,9 @@ class TestCliProperties:
         faults += [("initial", key, bad) for key in sections.get("initial", ())
                    for bad in (n_sites, -1)]
         # a valid key in a section the scenario does not read; transpile-report
-        # reads plan.dt as its default sample_time
-        unread = [("initial", "kind", "spike"), ("model_y", "delta_a", "1")]
-        if sections["run"]["scenario"] != "transpile-report":
-            unread.append(("plan", "n_steps", "3"))
+        # reads plan.dt alone, so its plan.n_steps is refused too
+        unread = [("initial", "kind", "spike"), ("model_y", "delta_a", "1"),
+                  ("plan", "n_steps", "3")]
         faults += [fault for fault in unread if fault[0] not in sections]
         section, key, value = data.draw(st.sampled_from(faults))
         sections = {**sections, section: {**sections.get(section, {}), key: value}}

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochsim.circuits import Circuit, build_two_particle_step, circuit_unitary
+from blochsim.evolve import EvolutionPlan
 from blochsim.model import ModelParams
+from blochsim.oracles import dense_propagator
 from blochsim.statevector import (
     ControlledGate,
     DiagonalGate,
@@ -77,6 +79,20 @@ class TestStatevector:
     def test_bad_register_count(self):
         with pytest.raises(ValueError, match="num_registers"):
             Statevector(3, 1, np.ones(8) / np.sqrt(8))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ControlledGate(0, np.full((2, 2), np.nan)),
+    lambda: DiagonalGate((0,), [1.0, np.nan]),
+    lambda: Statevector(1, 1, [np.nan, 0.0]),
+    lambda: dense_propagator(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.1),
+    lambda: EvolutionPlan(dt=np.inf, n_steps=1),
+    lambda: EvolutionPlan(dt=np.nan, n_steps=1),
+], ids=["controlled-nan", "diagonal-nan", "state-nan", "propagator-nan", "plan-dt-inf",
+        "plan-dt-nan"])
+def test_validity_checks_refuse_non_finite_input(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestLittleEndian:
