@@ -47,6 +47,12 @@ _MEMORY_BUDGET = DENSE_DIM_MAX ** 2 * 16
 #: highest Bessel order bessel-check computes, far past the oracle's n <= 60;
 #: the recurrence's time grows faster than linearly with the order
 _BESSEL_ORDER_MAX = 100_000
+#: largest gamma transpile-report lowers, one less when v != 0 (a second
+#: register costs about one more qubit on one). Cost grows about 3x per
+#: register qubit; on one BLAS thread one particle took 0.17 s / 61 MiB at
+#: 1024 sites, 2.1 s / 289 MiB at 4096 and 5.1 s / 815 MiB at 8192 (1.77 M CX),
+#: two particles 1.6 s / 283 MiB at 2048 and 7.4 s / 825 MiB at 4096
+_REPORT_GAMMA_MAX = 13
 
 
 class ConfigError(ValueError):
@@ -153,11 +159,11 @@ def _model_from(section: _Section) -> ModelParams:
 # [scenario] extras, one parser per scenario that takes any
 
 
-def _spectrum_extras(sec: _Section, plan_sec: _Section) -> dict:
+def _spectrum_extras(sec: _Section, plan_sec: _Section, model: ModelParams) -> dict:
     return {"f_values": sec.get_floats("f_values", "0, 0.2, 1")}
 
 
-def _dispersion_extras(sec: _Section, plan_sec: _Section) -> dict:
+def _dispersion_extras(sec: _Section, plan_sec: _Section, model: ModelParams) -> dict:
     k_points = sec.get_int("k_points", 201)
     if k_points < 2:
         _fail("scenario", "k_points", f"must be >= 2, got {k_points}")
@@ -166,7 +172,7 @@ def _dispersion_extras(sec: _Section, plan_sec: _Section) -> dict:
     return {"k_points": k_points}
 
 
-def _ladder_extras(sec: _Section, plan_sec: _Section) -> dict:
+def _ladder_extras(sec: _Section, plan_sec: _Section, model: ModelParams) -> dict:
     f_const = sec.get_float("f_const", 1.0)
     if f_const <= 0:
         _fail("scenario", "f_const", f"must be > 0, got {f_const}")
@@ -186,11 +192,15 @@ def _ladder_extras(sec: _Section, plan_sec: _Section) -> dict:
             "bands": band_list}
 
 
-def _transpile_extras(sec: _Section, plan_sec: _Section) -> dict:
+def _transpile_extras(sec: _Section, plan_sec: _Section, model: ModelParams) -> dict:
+    gamma_max = _REPORT_GAMMA_MAX - (model.v != 0.0)
+    if model.gamma > gamma_max:
+        _fail("model", "n_sites", f"must be <= {2 ** gamma_max} for transpile-report"
+              f"{' with v != 0' if model.v else ''}, got {model.n_sites}")
     return {"sample_time": sec.get_float("sample_time", plan_sec.get_float("dt", 0.02))}
 
 
-def _bessel_extras(sec: _Section, plan_sec: _Section) -> dict:
+def _bessel_extras(sec: _Section, plan_sec: _Section, model: ModelParams) -> dict:
     n_max = sec.get_int("n_max", 40)
     if n_max < 0:
         _fail("scenario", "n_max", f"must be >= 0, got {n_max}")
@@ -304,14 +314,15 @@ class _Scenario:
     scenario without steppers reads no [plan]. ``initial`` maps each initial
     kind it accepts to that kind's default sites, default kind first; an
     empty map means it reads no [initial]. ``extras`` reads the [scenario]
-    keys, and may read [plan] keys too. A key that none of these read is a
-    config error, since each section records the keys asked of it.
+    keys, may read [plan] keys too, and may refuse a model it cannot run.
+    A key that none of these read is a config error, since each section
+    records the keys asked of it.
     """
 
     runner: Callable[[RunConfig, Path], tuple[list[str], dict]]
     steppers: tuple[str, ...] = ()
     initial: dict[str, dict[str, int]] = field(default_factory=dict)
-    extras: Callable[[_Section, _Section], dict] | None = None
+    extras: Callable[[_Section, _Section, ModelParams], dict] | None = None
     #: runs gate circuits, so n_sites must be 2**gamma
     circuit: bool = False
     #: writes amplitudes, so plan.store_states must stay true
@@ -449,7 +460,7 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> RunConfig:
     plan_sec, init_sec = sections["plan"], sections["initial"]
     plan = _plan_from(plan_sec, scenario, entry) if entry.steppers else None
     initial = _initial_from(init_sec, scenario, entry, model.n_sites) if entry.initial else {}
-    extras = entry.extras(sections["scenario"], plan_sec) if entry.extras else {}
+    extras = entry.extras(sections["scenario"], plan_sec, model) if entry.extras else {}
     model_y = _model_from(sections["model_y"]) if entry.model_y else None
 
     # the one check for keys nothing read: the first such key in file order fails
@@ -513,6 +524,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print(f"config error: not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
     try:
         config = parse_config(text, args.override)
         artifacts = run_scenario(config, args.out)

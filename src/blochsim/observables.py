@@ -18,7 +18,7 @@ dependent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,15 +103,7 @@ def dispersion(params: ModelParams, k) -> tuple[np.ndarray, np.ndarray]:
 
 def spectrum(params: ModelParams, f_const: float) -> np.ndarray:
     """Ascending eigenvalues of the chain Hamiltonian at constant tilt f_const."""
-    h = dense_hamiltonian(
-        ModelParams(
-            delta_a=params.delta_a,
-            delta_b=params.delta_b,
-            f_dc=f_const,
-            n_sites=params.n_sites,
-        )
-    )
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh(dense_hamiltonian(replace(params, f_dc=f_const, f_ac=0.0)))
 
 
 @dataclass(frozen=True)

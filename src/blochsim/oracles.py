@@ -1,10 +1,12 @@
 """Dense classical references for the tilted two-band chain.
 
-Everything here is built independently of the circuit layer: explicit
-matrices, eigendecomposition propagators, a spin-chain cross-check of the
-single-excitation sector, and the closed-form propagator of the uniform
-(equal-hopping) infinite chain. The test suite holds circuit results
-against these.
+Everything here is built independently of the circuit layer: one
+construction of each dense Hamiltonian (the two-particle and two-axis ones
+are Kronecker sums of the single-particle one), the eigendecomposition
+propagator, a brute-force check that the single-excitation block of the
+2**N-dimensional spin chain is the site Hamiltonian, and the closed-form
+amplitudes and mean position of the uniform (equal-hopping) tilted chain.
+The test suite holds circuit results against these.
 
 Matrix conventions: site basis |0..N-1>, hopping matrix elements
 -delta_a/4 on (2n, 2n+1) bonds, -delta_b/4 on (2n+1, 2n+2) bonds with a
@@ -70,17 +72,13 @@ def dense_hamiltonian(params: ModelParams, t: float = 0.0) -> np.ndarray:
 
 
 def dense_two_particle_hamiltonian(params: ModelParams, t: float = 0.0) -> np.ndarray:
-    """Two particles on one chain: kinetic Kronecker sum plus contact term.
+    """Two particles on one chain: the Kronecker sum H (+) H plus the contact term.
 
     Basis index l1 * N + l2 (particle 1 on the high bits); the contact
     interaction adds v on the coincidence diagonal l1 == l2.
     """
-    n = params.n_sites
-    check_dense_dim(n * n)
-    h1 = dense_hamiltonian(params, t)
-    eye = np.eye(n)
-    h = np.kron(h1, eye) + np.kron(eye, h1)
-    coincident = np.arange(n) * n + np.arange(n)
+    h = dense_2d_hamiltonian(params, params, t)
+    coincident = np.arange(params.n_sites) * (params.n_sites + 1)
     h[coincident, coincident] += params.v
     return h
 
@@ -110,37 +108,6 @@ _SIGMA_MINUS = _SIGMA_PLUS.T.copy()
 _NUMBER = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
-def spin_chain_sector_hamiltonian(
-    params: ModelParams, t: float = 0.0, boundary: str = "periodic"
-) -> np.ndarray:
-    """Single-excitation block of the hardcore spin chain, assembled directly.
-
-    The raising/lowering form of the chain has one term per bond plus the
-    tilt written with number operators. The last inter-cell bond reaches
-    site N; ``boundary="periodic"`` identifies that with site 0 (matching
-    the dense Hamiltonian above), ``boundary="open"`` drops the bond.
-    """
-    if boundary not in ("periodic", "open"):
-        raise ValueError(f"boundary must be 'periodic' or 'open', got {boundary!r}")
-    n = params.n_sites
-    check_dense_dim(n)
-    h = np.zeros((n, n), dtype=complex)
-    for m in range(n // 2):
-        h[2 * m, 2 * m + 1] += -params.delta_a / 4.0
-        h[2 * m + 1, 2 * m] += -params.delta_a / 4.0
-    for m in range(n // 2):
-        lo = 2 * m + 1
-        hi = 2 * m + 2
-        if hi == n:
-            if boundary == "open":
-                continue
-            hi = 0
-        h[lo, hi] += -params.delta_b / 4.0
-        h[hi, lo] += -params.delta_b / 4.0
-    h += np.diag(params.field(t) * np.arange(n))
-    return h
-
-
 def _site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     """op on one spin, identity elsewhere; spin ``site`` is the index LSB."""
     acc = np.eye(1, dtype=complex)
@@ -149,15 +116,15 @@ def _site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     return acc
 
 
-def spin_chain_sector_bruteforce(
-    params: ModelParams, t: float = 0.0, boundary: str = "periodic"
-) -> np.ndarray:
+def spin_chain_sector_bruteforce(params: ModelParams, t: float = 0.0) -> np.ndarray:
     """Single-excitation block extracted from the full 2**N spin matrix.
 
+    The hardcore spin chain has one raising/lowering term per bond, the
+    last inter-cell bond wrapping from site N-1 to site 0, and the tilt
+    written with number operators. Its one-excitation block is the site
+    Hamiltonian, so this checks ``dense_hamiltonian`` from the spin side.
     Exponentially sized sanity oracle; limited to N <= 10.
     """
-    if boundary not in ("periodic", "open"):
-        raise ValueError(f"boundary must be 'periodic' or 'open', got {boundary!r}")
     n = params.n_sites
     if n > 10:
         raise ValueError(f"brute force limited to n_sites <= 10, got {n}")
@@ -171,13 +138,7 @@ def spin_chain_sector_bruteforce(
     for m in range(n // 2):
         h += hop(2 * m + 1, 2 * m, -params.delta_a / 4.0)
     for m in range(n // 2):
-        lo = 2 * m + 1
-        hi = 2 * m + 2
-        if hi == n:
-            if boundary == "open":
-                continue
-            hi = 0
-        h += hop(hi, lo, -params.delta_b / 4.0)
+        h += hop((2 * m + 2) % n, 2 * m + 1, -params.delta_b / 4.0)
     f = params.field(t)
     for site in range(n):
         h += f * site * _site_operator(_NUMBER, site, n)

@@ -315,6 +315,12 @@ class TestMain:
         assert code == 1
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(MINIMAL.encode() + b"label = \xff\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: not UTF-8 text: ")
+
     def test_override_changes_values(self, tmp_path):
         code, out = _run_main(
             tmp_path, MINIMAL + "[plan]\nn_steps = 2\n",
@@ -364,6 +370,10 @@ class TestMain:
         ("[run]\nscenario = bessel-check\n", "scenario.x_values=2, -1e9"),
         # transpile-report reads plan.dt alone
         ("[run]\nscenario = transpile-report\n", "plan.n_steps=3"),
+        # lowerings past 2**13 sites, or 2**12 with a second register
+        ("[run]\nscenario = transpile-report\n", "model.n_sites=16384"),
+        ("[run]\nscenario = transpile-report\n[model]\nv = 2\n", "model.n_sites=8192"),
+        ("[run]\nscenario = transpile-report\n[model]\nv = 2\n", "model.n_sites=1048576"),
     ])
     def test_bad_value_exits_two_with_section_key(self, tmp_path, capsys, text, override):
         code, _ = _run_main(tmp_path, text, "--override", override)
@@ -378,6 +388,10 @@ class TestMain:
         bessel = parse_config("[run]\nscenario = bessel-check\n"
                               "[scenario]\nn_max = 100000\nx_values = -99960, 0\n")
         assert bessel.extras == {"n_max": 100000, "x_values": [-99960.0, 0.0]}
+        for n_sites, v in ((8192, 0), (4096, 2)):
+            report = parse_config("[run]\nscenario = transpile-report\n"
+                                  f"[model]\nn_sites = {n_sites}\nv = {v}\n")
+            assert report.model.n_sites == n_sites
 
     def test_rk4_blow_up_exits_nonzero(self, tmp_path, capsys):
         code, _ = _run_main(

@@ -17,7 +17,6 @@ from blochsim.oracles import (
     dense_propagator,
     dense_two_particle_hamiltonian,
     spin_chain_sector_bruteforce,
-    spin_chain_sector_hamiltonian,
     uniform_chain_mean_position,
     uniform_chain_profile,
 )
@@ -89,7 +88,6 @@ class TestDenseSizeGuard:
         lambda: dense_two_particle_hamiltonian(ModelParams(delta_a=1.0, delta_b=1.0, n_sites=128)),
         lambda: dense_2d_hamiltonian(ModelParams(delta_a=1.0, delta_b=1.0, n_sites=128),
                                      ModelParams(delta_a=1.0, delta_b=1.0, n_sites=128)),
-        lambda: spin_chain_sector_hamiltonian(ModelParams(delta_a=1.0, delta_b=1.0, n_sites=8194)),
     ])
     def test_builders_refuse_before_allocating(self, build):
         with pytest.raises(ValueError, match="bytes"):
@@ -197,35 +195,15 @@ class TestUniformChain:
 
 
 class TestSpinChainSector:
-    @pytest.mark.parametrize("n", [4, 8])
-    def test_sector_equals_dense(self, n):
-        p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, n_sites=n)
+    @pytest.mark.parametrize("n", range(2, 11, 2))
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_bruteforce_sector_is_dense_hamiltonian(self, n, t):
+        p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, f_ac=0.5, omega=2.0, n_sites=n)
         np.testing.assert_allclose(
-            spin_chain_sector_hamiltonian(p), dense_hamiltonian(p), atol=1e-14
-        )
-
-    def test_open_boundary_drops_wrap(self):
-        p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, n_sites=4)
-        closed = spin_chain_sector_hamiltonian(p, boundary="periodic")
-        open_ = spin_chain_sector_hamiltonian(p, boundary="open")
-        diff = closed - open_
-        assert diff[3, 0] == pytest.approx(-0.25)
-        assert np.count_nonzero(diff) == 2
-
-    @pytest.mark.parametrize("boundary", ["periodic", "open"])
-    def test_bruteforce_confirms_sector(self, boundary):
-        p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, n_sites=4)
-        np.testing.assert_allclose(
-            spin_chain_sector_bruteforce(p, boundary=boundary),
-            spin_chain_sector_hamiltonian(p, boundary=boundary),
-            atol=1e-14,
+            spin_chain_sector_bruteforce(p, t), dense_hamiltonian(p, t), atol=1e-14
         )
 
     def test_bruteforce_size_guard(self):
         p = ModelParams(delta_a=1.0, delta_b=1.0, n_sites=12)
         with pytest.raises(ValueError, match="brute force"):
             spin_chain_sector_bruteforce(p)
-
-    def test_bad_boundary(self):
-        with pytest.raises(ValueError, match="boundary"):
-            spin_chain_sector_hamiltonian(DEMO, boundary="twisted")
