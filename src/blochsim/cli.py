@@ -47,11 +47,11 @@ _MEMORY_BUDGET = DENSE_DIM_MAX ** 2 * 16
 #: highest Bessel order bessel-check computes, far past the oracle's n <= 60;
 #: the recurrence's time grows faster than linearly with the order
 _BESSEL_ORDER_MAX = 100_000
-#: largest gamma transpile-report lowers, one less when v != 0 (a second
-#: register costs about one more qubit on one). Cost grows about 3x per
-#: register qubit; on one BLAS thread one particle took 0.17 s / 61 MiB at
-#: 1024 sites, 2.1 s / 289 MiB at 4096 and 5.1 s / 815 MiB at 8192 (1.77 M CX),
-#: two particles 1.6 s / 283 MiB at 2048 and 7.4 s / 825 MiB at 4096
+#: largest gamma transpile-report lowers, one less when v != 0. On one BLAS
+#: thread one particle took 0.11 s / 46 MiB at 1024 sites, 0.89 s / 159 MiB
+#: at 4096 and 2.4-2.8 s / 425 MiB at 8192 (1.77 M CX, a 163 MB QASM file);
+#: two particles took 1.1 s / 240 MiB at 2048 and 5.7 s / 800 MiB at 4096,
+#: of which the dense 2^(2 gamma) contact diagonal alone took 4.1 s / 750 MiB
 _REPORT_GAMMA_MAX = 13
 
 

@@ -106,13 +106,14 @@ def dense_propagator(h: np.ndarray, dt: float) -> np.ndarray:
 _SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_MINUS = _SIGMA_PLUS.T.copy()
 _NUMBER = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+_IDENTITY = np.eye(2, dtype=complex)
 
 
-def _site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """op on one spin, identity elsewhere; spin ``site`` is the index LSB."""
+def _spin_operator(ops: dict[int, np.ndarray], n_sites: int) -> np.ndarray:
+    """ops[s] on each spin s named, identity elsewhere; spin 0 is the index LSB."""
     acc = np.eye(1, dtype=complex)
     for s in range(n_sites - 1, -1, -1):
-        acc = np.kron(acc, op if s == site else np.eye(2, dtype=complex))
+        acc = np.kron(acc, ops.get(s, _IDENTITY))
     return acc
 
 
@@ -132,7 +133,7 @@ def spin_chain_sector_bruteforce(params: ModelParams, t: float = 0.0) -> np.ndar
     h = np.zeros((dim, dim), dtype=complex)
 
     def hop(i: int, j: int, amp: float) -> np.ndarray:
-        term = _site_operator(_SIGMA_PLUS, i, n) @ _site_operator(_SIGMA_MINUS, j, n)
+        term = _spin_operator({i: _SIGMA_PLUS, j: _SIGMA_MINUS}, n)
         return amp * (term + term.conj().T)
 
     for m in range(n // 2):
@@ -141,7 +142,7 @@ def spin_chain_sector_bruteforce(params: ModelParams, t: float = 0.0) -> np.ndar
         h += hop((2 * m + 2) % n, 2 * m + 1, -params.delta_b / 4.0)
     f = params.field(t)
     for site in range(n):
-        h += f * site * _site_operator(_NUMBER, site, n)
+        h += f * site * _spin_operator({site: _NUMBER}, n)
 
     # one-excitation states |l> are the basis indices with a single set bit
     sector = np.array([1 << l for l in range(n)])

@@ -118,18 +118,13 @@ class BasisCircuit:
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be >= 1")
         object.__setattr__(self, "ops", tuple(self.ops))
-        # one pass gathers the distinct qubits, dispatching on the exact op type
+        # a lowered circuit shares its frozen ops, so each object is checked once,
+        # in order of first appearance
         qubits: set[int] = set()
-        add = qubits.add
-        for op in self.ops:
-            kind = type(op)
-            if kind is CXGate:
-                add(op.control)
-                add(op.target)
-            elif kind is U1Gate or kind is U3Gate:
-                add(op.qubit)
-            else:
+        for op in {id(op): op for op in self.ops}.values():
+            if not isinstance(op, (U1Gate, U3Gate, CXGate)):
                 raise TypeError(f"not a basis op: {op!r}")
+            qubits.update(op.qubits)
         n = self.qubit_count
         if qubits and not (0 <= min(qubits) and max(qubits) < n):
             bad = min(qubits) if min(qubits) < 0 else max(qubits)
@@ -299,12 +294,11 @@ def _emit_diagonal(gate: DiagonalGate, ops: list[BasisOp]) -> float:
         angle = float(w[mask])
         members = [gate.qubits[bit] for bit in range(m) if mask >> bit & 1]
         tail = members[-1]
-        for q in members[:-1]:
-            ops.append(CXGate(q, tail))
+        ladder = [CXGate(q, tail) for q in members[:-1]]
+        ops.extend(ladder)
         ops.append(U1Gate(tail, -2.0 * angle))
         phase += angle
-        for q in reversed(members[:-1]):
-            ops.append(CXGate(q, tail))
+        ops.extend(reversed(ladder))
     return phase
 
 
@@ -391,25 +385,23 @@ def equivalent_up_to_phase(u_a: np.ndarray, u_b: np.ndarray, tol: float = 1e-10)
 # OpenQASM 2.0
 
 
+def _qasm_line(op: BasisOp) -> str:
+    """The QASM line of one basis op; each angle prints as its ``repr``."""
+    if isinstance(op, U1Gate):
+        return f"u1({op.lam!r}) q[{op.qubit}];"
+    if isinstance(op, U3Gate):
+        return f"u3({op.theta!r},{op.phi!r},{op.lam!r}) q[{op.qubit}];"
+    return f"cx q[{op.control}],q[{op.target}];"
+
+
 def emit_qasm(circuit: BasisCircuit) -> str:
     """OpenQASM 2.0 text over u1/u3/cx, with the global phase as a comment.
 
-    Each angle prints as its ``repr``. A lowered step repeats a few dozen
-    distinct angles across tens of thousands of ops, so each distinct
-    nonzero float is formatted once per call and its text reused.
+    A lowered circuit repeats its shared op objects many times over, so each
+    object's line is built once per call, keyed by ``id(op)``; the circuit
+    holds every op until the call returns.
     """
-    text: dict[float, str] = {}
-
-    def fmt(x: float) -> str:
-        # only nonzero floats are kept: 0.0 == -0.0 and 1 == 1.0 as keys,
-        # yet they print differently; equal nonzero floats print alike
-        if type(x) is not float or not x:
-            return repr(x)
-        s = text.get(x)
-        if s is None:
-            s = text[x] = repr(x)
-        return s
-
+    text: dict[int, str] = {}
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";']
     if circuit.label:
         lines.append(f"// {circuit.label}")
@@ -417,12 +409,10 @@ def emit_qasm(circuit: BasisCircuit) -> str:
         lines.append(f"// global phase: {circuit.global_phase!r}")
     lines.append(f"qreg q[{circuit.qubit_count}];")
     for op in circuit.ops:
-        if isinstance(op, U1Gate):
-            lines.append(f"u1({fmt(op.lam)}) q[{op.qubit}];")
-        elif isinstance(op, U3Gate):
-            lines.append(f"u3({fmt(op.theta)},{fmt(op.phi)},{fmt(op.lam)}) q[{op.qubit}];")
-        else:
-            lines.append(f"cx q[{op.control}],q[{op.target}];")
+        line = text.get(id(op))
+        if line is None:
+            line = text[id(op)] = _qasm_line(op)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

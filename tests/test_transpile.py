@@ -1,4 +1,5 @@
 """Lowering to the {u1, u3, cx} basis: equivalence, counts, QASM."""
+import copy
 import dataclasses
 
 import numpy as np
@@ -366,6 +367,21 @@ class TestBasisCircuitChecks:
         with pytest.raises(ValueError, match="qubit [23] outside register of 2"):
             BasisCircuit(2, (op, CXGate(1, 0)))
 
+    @pytest.mark.parametrize("bad,error,match", [
+        (ControlledGate(target=0, unitary=_X), TypeError, "not a basis op: ControlledGate"),
+        (U1Gate(5, 0.3), ValueError, "qubit 5 outside register of 2"),
+    ])
+    def test_one_bad_object_repeated_rejected(self, bad, error, match):
+        with pytest.raises(error, match=match):
+            BasisCircuit(2, (CXGate(0, 1),) + (bad,) * 1000)
+
+    def test_first_bad_op_after_shared_valid_op_is_named(self):
+        shared = CXGate(0, 1)
+        first = DiagonalGate((0,), np.array([1.0, -1.0]))
+        ops = (shared,) * 1000 + (first,) + (shared,) * 10 + (ControlledGate(0, _X), first)
+        with pytest.raises(TypeError, match="not a basis op: DiagonalGate"):
+            BasisCircuit(2, ops)
+
     @pytest.mark.parametrize("n", [0, -2])
     def test_non_positive_qubit_count_rejected(self, n):
         with pytest.raises(ValueError, match="qubit_count must be >= 1"):
@@ -473,9 +489,11 @@ class TestQasmRoundTrip:
         assert emit_qasm(back) == text
 
 
-# each circuit draws its angles from a pool of at most four, so ops repeat
-# floats; signed zeros, subnormals, nan, inf and ints (1 == 1.0 as dict keys,
-# yet they print differently) are forced in
+# each circuit draws its ops from a pool of at most six objects, each built
+# from a pool of at most four angles; an op is a pooled object reused as is or
+# an equal but distinct copy. Equal ops can print differently (U1Gate(0, 1) ==
+# U1Gate(0, 1.0) and U1Gate(0, 0.0) == U1Gate(0, -0.0)), so signed zeros,
+# subnormals, nan, inf and ints are forced in
 _TEXT_ANGLES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, float("nan"), 1, 1.0, -2, -2.0]),
     st.floats(),
@@ -483,27 +501,50 @@ _TEXT_ANGLES = st.one_of(
 
 
 @st.composite
-def _repeating_angle_circuits(draw):
+def _repeating_op_circuits(draw):
     n = draw(st.integers(1, 4))
     angle = st.sampled_from(draw(st.lists(_TEXT_ANGLES, min_size=1, max_size=4)))
     qubit = st.integers(0, n - 1)
-    op = st.one_of(st.builds(U1Gate, qubit, angle), st.builds(U3Gate, qubit, angle, angle, angle))
-    return BasisCircuit(n, tuple(draw(st.lists(op, min_size=1, max_size=20))))
+    kinds = [st.builds(U1Gate, qubit, angle), st.builds(U3Gate, qubit, angle, angle, angle)]
+    if n > 1:
+        kinds.append(st.permutations(range(n)).map(lambda qs: CXGate(qs[0], qs[1])))
+    pool = draw(st.lists(st.one_of(*kinds), min_size=1, max_size=6))
+    op = st.tuples(st.sampled_from(pool), st.booleans()).map(
+        lambda pick: copy.copy(pick[0]) if pick[1] else pick[0])
+    return BasisCircuit(n, tuple(draw(st.lists(op, min_size=1, max_size=60))))
 
 
-def _angle_line(op) -> str:
-    """The line of a u1/u3 op, each angle formatted afresh."""
+def _fresh_line(op) -> str:
+    """The line of a basis op, each angle formatted afresh."""
     if isinstance(op, U1Gate):
         return f"u1({op.lam!r}) q[{op.qubit}];"
-    return f"u3({op.theta!r},{op.phi!r},{op.lam!r}) q[{op.qubit}];"
+    if isinstance(op, U3Gate):
+        return f"u3({op.theta!r},{op.phi!r},{op.lam!r}) q[{op.qubit}];"
+    return f"cx q[{op.control}],q[{op.target}];"
+
+
+_SHARED_ZERO = U1Gate(0, -0.0)
 
 
 class TestQasmAngleText:
     @settings(max_examples=200, deadline=None)
-    @given(_repeating_angle_circuits())
+    @given(_repeating_op_circuits())
     @example(BasisCircuit(1, (U1Gate(0, 0.0), U1Gate(0, -0.0), U3Gate(0, 0.0, -0.0, 0.0))))
     @example(BasisCircuit(1, (U1Gate(0, -0.0), U1Gate(0, 0.0), U3Gate(0, -0.0, 0.0, -0.0))))
     @example(BasisCircuit(1, (U1Gate(0, 1.0), U1Gate(0, 1), U1Gate(0, 1.0))))
+    @example(BasisCircuit(1, (_SHARED_ZERO, U1Gate(0, 0.0), _SHARED_ZERO,
+                              copy.copy(_SHARED_ZERO), _SHARED_ZERO)))
     def test_each_angle_prints_as_its_own_repr(self, circuit):
         lines = emit_qasm(circuit).splitlines()
-        assert lines[-len(circuit.ops):] == [_angle_line(op) for op in circuit.ops]
+        assert lines[-len(circuit.ops):] == [_fresh_line(op) for op in circuit.ops]
+
+    @pytest.mark.parametrize("particles,gamma",
+                             [(1, g) for g in range(1, 9)] + [(2, g) for g in range(1, 5)])
+    def test_lowered_step_prints_op_by_op(self, particles, gamma):
+        p = params_with_gamma(gamma, delta_a=5.0, delta_b=1.0, f_dc=1.5, v=2.0)
+        build = build_trotter_step if particles == 1 else build_two_particle_step
+        basis = decompose(build(p, DT, DT))
+        phase = [f"// global phase: {basis.global_phase!r}"] if basis.global_phase else []
+        lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"// {basis.label}", *phase,
+                 f"qreg q[{basis.qubit_count}];", *map(_fresh_line, basis.ops)]
+        assert emit_qasm(basis) == "\n".join(lines) + "\n"
