@@ -323,7 +323,7 @@ class _Scenario:
     steppers: tuple[str, ...] = ()
     initial: dict[str, dict[str, int]] = field(default_factory=dict)
     extras: Callable[[_Section, _Section, ModelParams], dict] | None = None
-    #: runs gate circuits, so n_sites must be 2**gamma
+    #: lowers gate circuits without a stepper, so n_sites must be 2**gamma
     circuit: bool = False
     #: writes amplitudes, so plan.store_states must stay true
     needs_states: bool = False
@@ -360,11 +360,11 @@ _SCENARIOS: dict[str, _Scenario] = {
                               initial=_SINGLE_INITIAL, needs_states=True,
                               dense_dim=_evolution_dense_dim),
     "single-trotter": _Scenario(_run_evolution, steppers=("trotter1",),
-                                initial=_SINGLE_INITIAL, needs_states=True, circuit=True),
+                                initial=_SINGLE_INITIAL, needs_states=True),
     "single-ode": _Scenario(_run_evolution, steppers=("ode-rk4",),
                             initial=_SINGLE_INITIAL, needs_states=True),
     "two-particle": _Scenario(_run_evolution, steppers=("trotter1", "exact-dense"),
-                              initial={"spike2": {"site1": 1, "site2": 2}}, circuit=True,
+                              initial={"spike2": {"site1": 1, "site2": 2}},
                               dense_dim=_evolution_dense_dim),
     "spectrum": _Scenario(_run_spectrum, extras=_spectrum_extras,
                           dense_dim=lambda config: config.model.n_sites),
@@ -390,8 +390,6 @@ def _plan_from(sec: _Section, scenario: str, entry: _Scenario) -> EvolutionPlan:
         allowed = " or ".join(map(repr, entry.steppers))
         _fail("plan", "stepper", f"scenario {scenario} runs {allowed}, got {stepper!r}")
     n_steps = sec.get_int("n_steps", 100)
-    if n_steps < 1:
-        _fail("plan", "n_steps", f"must be >= 1, got {n_steps}")
     store_states = sec.get_bool("store_states", True)
     if entry.needs_states and not store_states:
         _fail("plan", "store_states", f"scenario {scenario} writes amplitudes, so it must be true")
@@ -454,11 +452,12 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> RunConfig:
     label = run_sec.get("label", scenario)
 
     model = _model_from(sections["model"])
-    if entry.circuit and model.gamma is None:
-        _fail("model", "n_sites",
-              f"must be a power of two for scenario {scenario}, got {model.n_sites}")
     plan_sec, init_sec = sections["plan"], sections["initial"]
     plan = _plan_from(plan_sec, scenario, entry) if entry.steppers else None
+    # gate circuits need 2**gamma sites; the dense and ODE steppers take any even chain
+    if model.gamma is None and (entry.circuit or plan is not None and plan.stepper == "trotter1"):
+        _fail("model", "n_sites",
+              f"must be a power of two for scenario {scenario}, got {model.n_sites}")
     initial = _initial_from(init_sec, scenario, entry, model.n_sites) if entry.initial else {}
     extras = entry.extras(sections["scenario"], plan_sec, model) if entry.extras else {}
     model_y = _model_from(sections["model_y"]) if entry.model_y else None

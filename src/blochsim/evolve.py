@@ -51,8 +51,8 @@ class EvolutionPlan:
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt: must be > 0 and finite, got {self.dt}")
-        if self.n_steps < 0:
-            raise ValueError(f"n_steps: must be >= 0, got {self.n_steps}")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps: must be >= 1, got {self.n_steps}")
         if self.stepper not in STEPPERS:
             raise ValueError(f"stepper: must be one of {STEPPERS}, got {self.stepper!r}")
         if self.field_sampling not in FIELD_SAMPLINGS:
@@ -98,25 +98,25 @@ class Trajectory:
         n = self.params.n_sites
         if len(sites) != self.particles or not all(0 <= site < n for site in sites):
             raise ValueError(f"expected {self.particles} site(s) in [0, {n}), got {sites}")
-        index = sites[0] if self.particles == 1 else sites[0] * n + sites[1]
-        return self.probabilities[:, index]
+        return self.probabilities[:, np.ravel_multi_index(sites, (n,) * self.particles)]
 
 
 def initial_amplitudes(kind: str, params: ModelParams, *sites: int) -> np.ndarray:
     """Normalized initial amplitudes; works for any even chain length.
 
     kinds: ``spike`` (one site), ``gaussian`` (width-2 envelope centred on
-    the chain), ``spike2`` (two-particle coincidence-free product spike).
+    the chain), ``spike2`` (two-particle product spike at the joint index
+    l1 * N + l2; a coincident pair l1 == l2 is allowed).
     """
     n = params.n_sites
-    if kind == "spike":
-        if len(sites) != 1:
-            raise ValueError("spike takes exactly one site")
-        (site,) = sites
-        if not 0 <= site < n:
-            raise ValueError(f"site {site} out of range [0, {n})")
-        amps = np.zeros(n, dtype=complex)
-        amps[site] = 1.0
+    if kind in ("spike", "spike2"):
+        particles = 2 if kind == "spike2" else 1
+        if len(sites) != particles:
+            raise ValueError(f"{kind} takes exactly {particles} site(s), got {len(sites)}")
+        if not all(0 <= site < n for site in sites):
+            raise ValueError(f"sites {sites} out of range [0, {n})")
+        amps = np.zeros(n ** particles, dtype=complex)
+        amps[np.ravel_multi_index(sites, (n,) * particles)] = 1.0
         return amps
     if kind == "gaussian":
         if sites:
@@ -124,15 +124,6 @@ def initial_amplitudes(kind: str, params: ModelParams, *sites: int) -> np.ndarra
         l = np.arange(n)
         amps = (2.0 * np.pi) ** -0.25 * np.exp(-((l - n / 2.0) ** 2) / 4.0)
         return amps.astype(complex) / np.linalg.norm(amps)
-    if kind == "spike2":
-        if len(sites) != 2:
-            raise ValueError("spike2 takes exactly two sites")
-        l1, l2 = sites
-        if not (0 <= l1 < n and 0 <= l2 < n):
-            raise ValueError(f"sites {sites} out of range [0, {n})")
-        amps = np.zeros(n * n, dtype=complex)
-        amps[l1 * n + l2] = 1.0
-        return amps
     raise ValueError(f"unknown initial kind {kind!r}")
 
 

@@ -35,28 +35,24 @@ def check_dense_dim(dim: int) -> None:
         )
 
 
-def dense_intra_hop(params: ModelParams) -> np.ndarray:
-    """Hopping on the (2n, 2n+1) bonds, matrix element -delta_a/4."""
-    n = params.n_sites
+def _bond_hop(n: int, first: int, delta: float) -> np.ndarray:
+    """Hopping -delta/4 on the bonds (l, l+1 mod n) for l = first, first+2, ..."""
     check_dense_dim(n)
     h = np.zeros((n, n), dtype=complex)
-    for m in range(n // 2):
-        h[2 * m, 2 * m + 1] += -params.delta_a / 4.0
-        h[2 * m + 1, 2 * m] += -params.delta_a / 4.0
+    lo = np.arange(first, n, 2)
+    hi = (lo + 1) % n
+    h[lo, hi] = h[hi, lo] = -delta / 4.0
     return h
+
+
+def dense_intra_hop(params: ModelParams) -> np.ndarray:
+    """Hopping on the (2n, 2n+1) bonds, matrix element -delta_a/4."""
+    return _bond_hop(params.n_sites, 0, params.delta_a)
 
 
 def dense_inter_hop(params: ModelParams) -> np.ndarray:
     """Hopping on the (2n+1, 2n+2) bonds with the periodic wrap to site 0."""
-    n = params.n_sites
-    check_dense_dim(n)
-    h = np.zeros((n, n), dtype=complex)
-    for m in range(n // 2):
-        lo = 2 * m + 1
-        hi = (2 * m + 2) % n
-        h[lo, hi] += -params.delta_b / 4.0
-        h[hi, lo] += -params.delta_b / 4.0
-    return h
+    return _bond_hop(params.n_sites, 1, params.delta_b)
 
 
 def dense_field(params: ModelParams, t: float = 0.0) -> np.ndarray:

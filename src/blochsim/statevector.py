@@ -177,9 +177,6 @@ def apply_gate_to_array(amps: np.ndarray, n_qubits: int, gate: Gate) -> None:
         raise ValueError("amplitudes must be C-contiguous to be updated in place")
 
     if isinstance(gate, DiagonalGate):
-        if not qubits:
-            amps *= gate.diagonal[0]
-            return
         runs = _runs(qubits)
         view, axes = _run_view(amps, n_qubits, runs)
         # diagonal[j] has qubits[0] as its lowest bit; order its axes highest

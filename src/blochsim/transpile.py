@@ -1,8 +1,9 @@
 """Lower circuits to the {U1, U3, CX} basis, count gates, emit OpenQASM 2.0.
 
-Multi-controlled gates are expanded with the standard two-CX ABC
-construction (one control) and the recursive square-root construction
-(more controls), each distinct one lowered once per call on its own qubits.
+Controlled gates are expanded with the standard two-CX ABC construction
+(one control) and the recursive square-root construction (more controls);
+each distinct controlled gate, open-control X wraps included, is lowered
+once per call on its own qubits.
 Diagonal gates become parity ladders: a Walsh-Hadamard transform of the
 phase vector yields one Z-string angle per qubit subset, and each string is
 a CX ladder around a U1. The global phase created by these rewrites is
@@ -223,48 +224,46 @@ def _emit_controlled(unitary: np.ndarray, controls: tuple[int, ...], target: int
                      ops: list[BasisOp], memo: dict) -> float:
     """Append basis ops for a k-controlled 2x2 unitary (all controls fire on 1).
 
-    Returns the accumulated global phase. With two or more controls the ops
-    and phase are kept in ``memo`` per (unitary, controls, target), so each
-    distinct gate, the sub-gates of the recursion included, is lowered once
-    per ``decompose`` call and a later use appends the same frozen ops.
+    Returns the accumulated global phase. For every k >= 0 the ops and phase
+    are kept in ``memo`` per (unitary, controls, target), so each distinct
+    gate, the sub-gates of the recursion included, is lowered once per
+    ``decompose`` call and a later use appends the same frozen ops.
     """
     u = np.asarray(unitary, dtype=complex)
-    if not controls:
-        return _emit_single(u, target, ops)
-
-    if len(controls) == 1:
-        (c,) = controls
-        if _is_x(u):
-            ops.append(CXGate(c, target))
-            return 0.0
-        # controlled-U = U1(alpha) on control, then A X B X C on target
-        alpha = 0.5 * float(np.angle(np.linalg.det(u)))
-        w = u * np.exp(-1j * alpha)
-        beta, gamma, delta = _su2_angles(w)
-        mat_a = _rz(beta) @ _ry(gamma / 2.0)
-        mat_b = _ry(-gamma / 2.0) @ _rz(-(delta + beta) / 2.0)
-        mat_c = _rz((delta - beta) / 2.0)
-        phase = _emit_single(mat_c, target, ops)
-        ops.append(CXGate(c, target))
-        phase += _emit_single(mat_b, target, ops)
-        ops.append(CXGate(c, target))
-        phase += _emit_single(mat_a, target, ops)
-        if abs(alpha) > _DIAG_TOL:
-            ops.append(U1Gate(c, alpha))
-        return phase
-
     key = (u.tobytes(), controls, target)
     if key not in memo:
-        # C^k(U) = [CV on last control] [C^{k-1}X] [CV^dag] [C^{k-1}X]
-        #          [C^{k-1}V on remaining controls], V = sqrt(U)
-        rest, last = controls[:-1], controls[-1]
-        v = _unitary_sqrt(u)
         lowered: list[BasisOp] = []
-        phase = _emit_controlled(v, (last,), target, lowered, memo)
-        phase += _emit_controlled(_X, rest, last, lowered, memo)
-        phase += _emit_controlled(v.conj().T, (last,), target, lowered, memo)
-        phase += _emit_controlled(_X, rest, last, lowered, memo)
-        phase += _emit_controlled(v, rest, target, lowered, memo)
+        if not controls:
+            phase = _emit_single(u, target, lowered)
+        elif len(controls) > 1:
+            # C^k(U) = [CV on last control] [C^{k-1}X] [CV^dag] [C^{k-1}X]
+            #          [C^{k-1}V on remaining controls], V = sqrt(U)
+            rest, last = controls[:-1], controls[-1]
+            v = _unitary_sqrt(u)
+            phase = _emit_controlled(v, (last,), target, lowered, memo)
+            phase += _emit_controlled(_X, rest, last, lowered, memo)
+            phase += _emit_controlled(v.conj().T, (last,), target, lowered, memo)
+            phase += _emit_controlled(_X, rest, last, lowered, memo)
+            phase += _emit_controlled(v, rest, target, lowered, memo)
+        elif _is_x(u):
+            lowered.append(CXGate(controls[0], target))
+            phase = 0.0
+        else:
+            # controlled-U = U1(alpha) on control, then A X B X C on target
+            (c,) = controls
+            alpha = 0.5 * float(np.angle(np.linalg.det(u)))
+            w = u * np.exp(-1j * alpha)
+            beta, gamma, delta = _su2_angles(w)
+            mat_a = _rz(beta) @ _ry(gamma / 2.0)
+            mat_b = _ry(-gamma / 2.0) @ _rz(-(delta + beta) / 2.0)
+            mat_c = _rz((delta - beta) / 2.0)
+            phase = _emit_single(mat_c, target, lowered)
+            lowered.append(CXGate(c, target))
+            phase += _emit_single(mat_b, target, lowered)
+            lowered.append(CXGate(c, target))
+            phase += _emit_single(mat_a, target, lowered)
+            if abs(alpha) > _DIAG_TOL:
+                lowered.append(U1Gate(c, alpha))
         memo[key] = (tuple(lowered), phase)
     lowered, phase = memo[key]
     ops.extend(lowered)
@@ -275,8 +274,6 @@ def _emit_diagonal(gate: DiagonalGate, ops: list[BasisOp]) -> float:
     """Append basis ops for a diagonal gate via Walsh-Hadamard phase splitting."""
     theta = np.angle(np.asarray(gate.diagonal, dtype=complex)).astype(float)
     m = len(gate.qubits)
-    if m == 0:
-        return float(theta[0])
     # Walsh-Hadamard transform of the phase vector, one butterfly per level
     w = theta.copy()
     h = 1
@@ -308,7 +305,7 @@ def decompose(circuit: Circuit | BasisCircuit) -> BasisCircuit:
         return circuit
     ops: list[BasisOp] = []
     phase = 0.0
-    memo: dict = {}  # multi-controlled lowerings, local to this call
+    memo: dict = {}  # controlled-gate lowerings, local to this call
     for op in circuit.ops:
         if isinstance(op, DiagonalGate):
             phase += _emit_diagonal(op, ops)
@@ -318,11 +315,11 @@ def decompose(circuit: Circuit | BasisCircuit) -> BasisCircuit:
         # normalize control polarity: controls firing on 0 get X wraps
         zeros = tuple(q for q, pol in op.controls if pol == 0)
         for q in zeros:
-            phase += _emit_single(_X, q, ops)
+            phase += _emit_controlled(_X, (), q, ops, memo)
         phase += _emit_controlled(op.unitary, tuple(q for q, _ in op.controls), op.target, ops,
                                   memo)
         for q in reversed(zeros):
-            phase += _emit_single(_X, q, ops)
+            phase += _emit_controlled(_X, (), q, ops, memo)
     return BasisCircuit(circuit.qubit_count, tuple(ops), phase, label=circuit.label)
 
 
@@ -416,13 +413,6 @@ def emit_qasm(circuit: BasisCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_QASM_PATTERNS = (
-    (re.compile(r"^u1\(([^)]+)\)\s*q\[(\d+)\];$"), "u1"),
-    (re.compile(r"^u3\(([^)]+)\)\s*q\[(\d+)\];$"), "u3"),
-    (re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\];$"), "cx"),
-)
-
-
 def _angle(text: str, line: str) -> float:
     """A finite float read from QASM text; errors name the line."""
     try:
@@ -432,6 +422,23 @@ def _angle(text: str, line: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"angle {text.strip()!r} is not finite: {line}")
     return x
+
+
+def _read_u3(m: re.Match, line: str) -> U3Gate:
+    angles = [_angle(x, line) for x in m.group(1).split(",")]
+    if len(angles) != 3:
+        raise ValueError(f"u3 needs three angles: {line}")
+    return U3Gate(int(m.group(2)), *angles)
+
+
+#: one (pattern, reader) pair per op line; a reader builds the op from its match
+_QASM_OPS = (
+    (re.compile(r"^u1\(([^)]+)\)\s*q\[(\d+)\];$"),
+     lambda m, line: U1Gate(int(m.group(2)), _angle(m.group(1), line))),
+    (re.compile(r"^u3\(([^)]+)\)\s*q\[(\d+)\];$"), _read_u3),
+    (re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\];$"),
+     lambda m, line: CXGate(int(m.group(1)), int(m.group(2)))),
+)
 
 
 def parse_qasm(text: str) -> BasisCircuit:
@@ -460,20 +467,11 @@ def parse_qasm(text: str) -> BasisCircuit:
                 raise ValueError(f"repeated qreg declaration: {line}")
             qubit_count = int(m.group(1))
             continue
-        for pattern, kind in _QASM_PATTERNS:
+        for pattern, read in _QASM_OPS:
             m = pattern.match(line)
-            if not m:
-                continue
-            if kind == "u1":
-                ops.append(U1Gate(int(m.group(2)), _angle(m.group(1), line)))
-            elif kind == "u3":
-                angles = [_angle(x, line) for x in m.group(1).split(",")]
-                if len(angles) != 3:
-                    raise ValueError(f"u3 needs three angles: {line}")
-                ops.append(U3Gate(int(m.group(2)), *angles))
-            else:
-                ops.append(CXGate(int(m.group(1)), int(m.group(2))))
-            break
+            if m:
+                ops.append(read(m, line))
+                break
         else:
             raise ValueError(f"unrecognized QASM line: {line}")
     if qubit_count is None:

@@ -76,6 +76,18 @@ class TestParsing:
         )
         assert config.model.n_sites == 6
 
+    def test_power_of_two_rule_follows_the_stepper(self):
+        # exact-dense takes any even chain; trotter1 and transpile-report lower circuits
+        two = "[run]\nscenario = two-particle\n[model]\nn_sites = 6\n"
+        assert parse_config(two + "[plan]\nstepper = exact-dense\n").model.n_sites == 6
+        for text in (two, "[run]\nscenario = transpile-report\n[model]\nn_sites = 6\n"):
+            with pytest.raises(ConfigError, match=r"model\.n_sites: must be a power of two"):
+                parse_config(text)
+
+    def test_zero_steps_rejected(self):
+        with pytest.raises(ConfigError, match=r"^plan\.n_steps: must be >= 1, got 0$"):
+            parse_config(MINIMAL + "[plan]\nn_steps = 0\n")
+
     def test_odd_chain_rejected(self):
         with pytest.raises(ConfigError, match=r"model\.n_sites: must be even"):
             parse_config("[run]\nscenario = single-exact\n[model]\nn_sites = 5\n")
@@ -231,6 +243,13 @@ class TestScenarioArtifacts:
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,site1,site2,prob"
         assert len(lines) == 1 + 4 * 16
+
+    def test_two_particle_exact_dense_on_a_six_site_chain(self, tmp_path):
+        config = parse_config("[run]\nscenario = two-particle\n[model]\nn_sites = 6\n"
+                              "[plan]\nstepper = exact-dense\nn_steps = 3\n")
+        run_scenario(config, tmp_path)
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4 * 36
 
     def test_spectrum_csv(self, tmp_path):
         config = parse_config(

@@ -24,6 +24,10 @@ class TestPlan:
         with pytest.raises(ValueError, match="dt"):
             EvolutionPlan(dt=0.0, n_steps=5)
 
+    def test_rejects_zero_steps(self):
+        with pytest.raises(ValueError, match=r"n_steps: must be >= 1, got 0"):
+            EvolutionPlan(dt=0.1, n_steps=0)
+
     def test_rejects_unknown_stepper(self):
         with pytest.raises(ValueError, match="stepper"):
             EvolutionPlan(dt=0.1, n_steps=5, stepper="magic")
@@ -58,6 +62,15 @@ class TestInitialStates:
     def test_spike2_index_convention(self):
         amps = initial_amplitudes("spike2", DEMO, 1, 2)
         assert amps[1 * 4 + 2] == 1.0 and np.sum(np.abs(amps)) == 1.0
+
+    def test_coincident_spike2_is_one_hot(self):
+        # l1 == l2 is a valid start: the joint index l * N + l
+        for l in range(4):
+            amps = initial_amplitudes("spike2", DEMO, l, l)
+            assert np.flatnonzero(amps).tolist() == [l * 5] and amps[l * 5] == 1.0
+        traj = run(initial_amplitudes("spike2", DEMO, 3, 3), DEMO,
+                   EvolutionPlan(dt=0.02, n_steps=2))
+        assert traj.site_probability(3, 3)[0] == 1.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown initial"):

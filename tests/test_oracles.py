@@ -75,6 +75,24 @@ class TestDenseMatrices:
         np.testing.assert_allclose(h, expected, atol=0)
 
 
+    def test_hops_equal_the_bond_loop(self):
+        # a bond-by-bond reference over (l, l+1 mod N), l = first, first+2, ...;
+        # first 0 is intra-cell, first 1 inter-cell
+        def bond_loop(n, first, delta):
+            h = np.zeros((n, n), dtype=complex)
+            for m in range(n // 2):
+                lo = 2 * m + first
+                hi = (lo + 1) % n
+                h[lo, hi] += -delta / 4.0
+                h[hi, lo] += -delta / 4.0
+            return h
+
+        for n in range(2, 65, 2):
+            p = ModelParams(delta_a=5.0, delta_b=0.7, n_sites=n)
+            assert np.array_equal(dense_intra_hop(p), bond_loop(n, 0, 5.0)), n
+            assert np.array_equal(dense_inter_hop(p), bond_loop(n, 1, 0.7)), n
+
+
 class TestDenseSizeGuard:
     def test_cap_is_one_gib(self):
         assert DENSE_DIM_MAX ** 2 * 16 == 2 ** 30

@@ -212,6 +212,25 @@ class TestLoweringProperties:
         assert twice.global_phase == once.global_phase + once.global_phase
 
     @settings(max_examples=120, deadline=None)
+    @given(_controlled_cases())
+    def test_repeated_gate_reuses_the_same_objects(self, case):
+        # every controlled gate, any k, is one memo entry and so is each
+        # open-control X wrap: the second use appends the first use's objects
+        n, u, qubits, _, polarities = case
+        gate = _gate(u, qubits, polarities)
+        ops = decompose(Circuit(n, (gate, gate))).ops
+        half = len(ops) // 2
+        assert len(ops) == 2 * half
+        assert all(a is b for a, b in zip(ops[:half], ops[half:]))
+
+    def test_open_control_wraps_share_their_objects(self):
+        # X wraps on qubits 1 and 2 open the lowering and close it in reverse
+        gate = ControlledGate(target=0, unitary=_U, controls=((1, 0), (2, 0), (3, 1)))
+        ops = decompose(Circuit(4, (gate,))).ops
+        assert [op.qubits for op in ops[:2]] == [(1,), (2,)]
+        assert ops[-1] is ops[0] and ops[-2] is ops[1]
+
+    @settings(max_examples=120, deadline=None)
     @given(_placement_cases())
     # the same controls on a new target, and the same controls reversed: the
     # memo key must hold the target and the controls in order
