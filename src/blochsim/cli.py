@@ -59,19 +59,17 @@ class ConfigError(ValueError):
     """A configuration problem, reported with its section.key location."""
 
 
+@dataclass(frozen=True)
 class RunConfig:
     """Validated scenario configuration."""
 
-    def __init__(self, scenario: str, label: str, model: ModelParams,
-                 plan: EvolutionPlan | None, initial: dict, extras: dict,
-                 model_y: ModelParams | None):
-        self.scenario = scenario
-        self.label = label
-        self.model = model
-        self.plan = plan
-        self.initial = initial
-        self.extras = extras
-        self.model_y = model_y
+    scenario: str
+    label: str
+    model: ModelParams
+    plan: EvolutionPlan | None
+    initial: dict
+    extras: dict
+    model_y: ModelParams | None
 
 
 def _fail(section: str, key: str, message: str):
@@ -121,17 +119,6 @@ class _Section:
         except ValueError:
             _fail(self.name, key, f"not an integer: {value!r}")
 
-    def get_bool(self, key: str, default: bool):
-        value = self.get(key)
-        if value is None:
-            return default
-        lowered = value.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        _fail(self.name, key, f"not a boolean: {value!r}")
-
     def get_floats(self, key: str, default: str):
         text = self.get(key, default)
         try:
@@ -159,11 +146,11 @@ def _model_from(section: _Section) -> ModelParams:
 # [scenario] extras, one parser per scenario that takes any
 
 
-def _spectrum_extras(sec: _Section, plan_sec: _Section, model: ModelParams) -> dict:
+def _spectrum_extras(sec: _Section, model: ModelParams) -> dict:
     return {"f_values": sec.get_floats("f_values", "0, 0.2, 1")}
 
 
-def _dispersion_extras(sec: _Section, plan_sec: _Section, model: ModelParams) -> dict:
+def _dispersion_extras(sec: _Section, model: ModelParams) -> dict:
     k_points = sec.get_int("k_points", 201)
     if k_points < 2:
         _fail("scenario", "k_points", f"must be >= 2, got {k_points}")
@@ -172,7 +159,7 @@ def _dispersion_extras(sec: _Section, plan_sec: _Section, model: ModelParams) ->
     return {"k_points": k_points}
 
 
-def _ladder_extras(sec: _Section, plan_sec: _Section, model: ModelParams) -> dict:
+def _ladder_extras(sec: _Section, model: ModelParams) -> dict:
     f_const = sec.get_float("f_const", 1.0)
     if f_const <= 0:
         _fail("scenario", "f_const", f"must be > 0, got {f_const}")
@@ -192,15 +179,18 @@ def _ladder_extras(sec: _Section, plan_sec: _Section, model: ModelParams) -> dic
             "bands": band_list}
 
 
-def _transpile_extras(sec: _Section, plan_sec: _Section, model: ModelParams) -> dict:
+def _transpile_extras(sec: _Section, model: ModelParams) -> dict:
+    if model.gamma is None:
+        _fail("model", "n_sites",
+              f"must be a power of two for scenario transpile-report, got {model.n_sites}")
     gamma_max = _REPORT_GAMMA_MAX - (model.v != 0.0)
     if model.gamma > gamma_max:
         _fail("model", "n_sites", f"must be <= {2 ** gamma_max} for transpile-report"
               f"{' with v != 0' if model.v else ''}, got {model.n_sites}")
-    return {"sample_time": sec.get_float("sample_time", plan_sec.get_float("dt", 0.02))}
+    return {"sample_time": sec.get_float("sample_time", 0.02)}
 
 
-def _bessel_extras(sec: _Section, plan_sec: _Section, model: ModelParams) -> dict:
+def _bessel_extras(sec: _Section, model: ModelParams) -> dict:
     n_max = sec.get_int("n_max", 40)
     if n_max < 0:
         _fail("scenario", "n_max", f"must be >= 0, got {n_max}")
@@ -314,19 +304,16 @@ class _Scenario:
     scenario without steppers reads no [plan]. ``initial`` maps each initial
     kind it accepts to that kind's default sites, default kind first; an
     empty map means it reads no [initial]. ``extras`` reads the [scenario]
-    keys, may read [plan] keys too, and may refuse a model it cannot run.
-    A key that none of these read is a config error, since each section
-    records the keys asked of it.
+    keys and may refuse a model it cannot run. A key that none of these
+    read is a config error, since each section records the keys asked of it.
     """
 
     runner: Callable[[RunConfig, Path], tuple[list[str], dict]]
     steppers: tuple[str, ...] = ()
     initial: dict[str, dict[str, int]] = field(default_factory=dict)
-    extras: Callable[[_Section, _Section, ModelParams], dict] | None = None
-    #: lowers gate circuits without a stepper, so n_sites must be 2**gamma
-    circuit: bool = False
-    #: writes amplitudes, so plan.store_states must stay true
-    needs_states: bool = False
+    extras: Callable[[_Section, ModelParams], dict] | None = None
+    #: the plan's store_states: true when the runner writes amplitudes
+    store_states: bool = False
     #: reads a second axis from [model_y]
     model_y: bool = False
     #: dimension of the dense matrix a run of this config builds, 0 for none
@@ -357,12 +344,12 @@ _SINGLE_INITIAL = {"spike": {"site": 2}, "gaussian": {}}
 
 _SCENARIOS: dict[str, _Scenario] = {
     "single-exact": _Scenario(_run_evolution, steppers=("exact-dense",),
-                              initial=_SINGLE_INITIAL, needs_states=True,
+                              initial=_SINGLE_INITIAL, store_states=True,
                               dense_dim=_evolution_dense_dim),
     "single-trotter": _Scenario(_run_evolution, steppers=("trotter1",),
-                                initial=_SINGLE_INITIAL, needs_states=True),
+                                initial=_SINGLE_INITIAL, store_states=True),
     "single-ode": _Scenario(_run_evolution, steppers=("ode-rk4",),
-                            initial=_SINGLE_INITIAL, needs_states=True),
+                            initial=_SINGLE_INITIAL, store_states=True),
     "two-particle": _Scenario(_run_evolution, steppers=("trotter1", "exact-dense"),
                               initial={"spike2": {"site1": 1, "site2": 2}},
                               dense_dim=_evolution_dense_dim),
@@ -370,8 +357,7 @@ _SCENARIOS: dict[str, _Scenario] = {
                           dense_dim=lambda config: config.model.n_sites),
     "dispersion": _Scenario(_run_dispersion, extras=_dispersion_extras),
     "ladder": _Scenario(_run_ladder, extras=_ladder_extras),
-    # reads plan.dt alone, as the default sample_time
-    "transpile-report": _Scenario(_run_transpile_report, extras=_transpile_extras, circuit=True),
+    "transpile-report": _Scenario(_run_transpile_report, extras=_transpile_extras),
     "bessel-check": _Scenario(_run_bessel_check, extras=_bessel_extras),
     "dim2": _Scenario(_run_dim2, model_y=True,
                       dense_dim=lambda config: config.model.n_sites * config.model_y.n_sites),
@@ -390,14 +376,11 @@ def _plan_from(sec: _Section, scenario: str, entry: _Scenario) -> EvolutionPlan:
         allowed = " or ".join(map(repr, entry.steppers))
         _fail("plan", "stepper", f"scenario {scenario} runs {allowed}, got {stepper!r}")
     n_steps = sec.get_int("n_steps", 100)
-    store_states = sec.get_bool("store_states", True)
-    if entry.needs_states and not store_states:
-        _fail("plan", "store_states", f"scenario {scenario} writes amplitudes, so it must be true")
     dt = sec.get_float("dt", 0.02)
     field_sampling = sec.get("field_sampling", "end")
     try:
         return EvolutionPlan(dt=dt, n_steps=n_steps, stepper=stepper,
-                             field_sampling=field_sampling, store_states=store_states)
+                             field_sampling=field_sampling, store_states=entry.store_states)
     except ValueError as exc:
         raise ConfigError(f"plan.{exc}") from None
 
@@ -452,14 +435,14 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> RunConfig:
     label = run_sec.get("label", scenario)
 
     model = _model_from(sections["model"])
-    plan_sec, init_sec = sections["plan"], sections["initial"]
-    plan = _plan_from(plan_sec, scenario, entry) if entry.steppers else None
+    plan = _plan_from(sections["plan"], scenario, entry) if entry.steppers else None
     # gate circuits need 2**gamma sites; the dense and ODE steppers take any even chain
-    if model.gamma is None and (entry.circuit or plan is not None and plan.stepper == "trotter1"):
+    if model.gamma is None and plan is not None and plan.stepper == "trotter1":
         _fail("model", "n_sites",
               f"must be a power of two for scenario {scenario}, got {model.n_sites}")
-    initial = _initial_from(init_sec, scenario, entry, model.n_sites) if entry.initial else {}
-    extras = entry.extras(sections["scenario"], plan_sec, model) if entry.extras else {}
+    initial = (_initial_from(sections["initial"], scenario, entry, model.n_sites)
+               if entry.initial else {})
+    extras = entry.extras(sections["scenario"], model) if entry.extras else {}
     model_y = _model_from(sections["model_y"]) if entry.model_y else None
 
     # the one check for keys nothing read: the first such key in file order fails

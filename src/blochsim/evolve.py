@@ -59,6 +59,9 @@ class EvolutionPlan:
             raise ValueError(
                 f"field_sampling: must be one of {FIELD_SAMPLINGS}, got {self.field_sampling!r}"
             )
+        if self.stepper == "ode-rk4" and self.field_sampling != "end":
+            raise ValueError(f"field_sampling: ode-rk4 samples the field at its own stage "
+                             f"times, so it must be 'end', got {self.field_sampling!r}")
 
     def sample_time(self, k: int) -> float:
         """Field evaluation time for step k (1-based)."""

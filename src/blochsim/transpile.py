@@ -413,36 +413,39 @@ def emit_qasm(circuit: BasisCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _angle(text: str, line: str) -> float:
-    """A finite float read from QASM text; errors name the line."""
+def _angle(text: str) -> float:
+    """A finite float read from QASM text."""
     try:
         x = float(text)
     except ValueError:
-        raise ValueError(f"not an angle {text.strip()!r}: {line}") from None
+        raise ValueError(f"not an angle {text.strip()!r}") from None
     if not math.isfinite(x):
-        raise ValueError(f"angle {text.strip()!r} is not finite: {line}")
+        raise ValueError(f"angle {text.strip()!r} is not finite")
     return x
 
 
-def _read_u3(m: re.Match, line: str) -> U3Gate:
-    angles = [_angle(x, line) for x in m.group(1).split(",")]
+def _read_u3(m: re.Match) -> U3Gate:
+    angles = [_angle(x) for x in m.group(1).split(",")]
     if len(angles) != 3:
-        raise ValueError(f"u3 needs three angles: {line}")
+        raise ValueError("u3 needs three angles")
     return U3Gate(int(m.group(2)), *angles)
 
 
 #: one (pattern, reader) pair per op line; a reader builds the op from its match
 _QASM_OPS = (
     (re.compile(r"^u1\(([^)]+)\)\s*q\[(\d+)\];$"),
-     lambda m, line: U1Gate(int(m.group(2)), _angle(m.group(1), line))),
+     lambda m: U1Gate(int(m.group(2)), _angle(m.group(1)))),
     (re.compile(r"^u3\(([^)]+)\)\s*q\[(\d+)\];$"), _read_u3),
     (re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\];$"),
-     lambda m, line: CXGate(int(m.group(1)), int(m.group(2)))),
+     lambda m: CXGate(int(m.group(1)), int(m.group(2)))),
 )
 
 
 def parse_qasm(text: str) -> BasisCircuit:
-    """Parse the QASM subset emitted by emit_qasm back into a BasisCircuit."""
+    """Parse the QASM subset emitted by emit_qasm back into a BasisCircuit.
+
+    Every error raised while reading a line names that line.
+    """
     qubit_count = None
     global_phase = 0.0
     saw_header = False
@@ -454,26 +457,29 @@ def parse_qasm(text: str) -> BasisCircuit:
             continue
         if not line or line.startswith("include"):
             continue
-        if not saw_header:
-            raise ValueError("missing OPENQASM 2.0 header")
-        if line.startswith("//"):
-            m = re.match(r"^// global phase:\s*(\S+)$", line)
+        try:
+            if not saw_header:
+                raise ValueError("missing OPENQASM 2.0 header")
+            if line.startswith("//"):
+                m = re.match(r"^// global phase:\s*(\S+)$", line)
+                if m:
+                    global_phase = _angle(m.group(1))
+                continue
+            m = re.match(r"^qreg\s+q\[(\d+)\];$", line)
             if m:
-                global_phase = _angle(m.group(1), line)
-            continue
-        m = re.match(r"^qreg\s+q\[(\d+)\];$", line)
-        if m:
-            if qubit_count is not None:
-                raise ValueError(f"repeated qreg declaration: {line}")
-            qubit_count = int(m.group(1))
-            continue
-        for pattern, read in _QASM_OPS:
-            m = pattern.match(line)
-            if m:
-                ops.append(read(m, line))
-                break
-        else:
-            raise ValueError(f"unrecognized QASM line: {line}")
+                if qubit_count is not None:
+                    raise ValueError("repeated qreg declaration")
+                qubit_count = int(m.group(1))
+                continue
+            for pattern, read in _QASM_OPS:
+                m = pattern.match(line)
+                if m:
+                    ops.append(read(m))
+                    break
+            else:
+                raise ValueError("unrecognized QASM line")
+        except ValueError as exc:
+            raise ValueError(f"{exc}: {line}") from None
     if qubit_count is None:
         raise ValueError("missing qreg declaration")
     return BasisCircuit(qubit_count, tuple(ops), global_phase)

@@ -1,6 +1,7 @@
 """Config parsing, scenario execution, artifacts, and exit codes."""
 import configparser
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochsim.cli import SCENARIOS, ConfigError, main, parse_config, run_scenario
+from blochsim.evolve import (FIELD_SAMPLINGS, STEPPERS, initial_amplitudes, run,
+                             write_trajectory_csv)
 
 MINIMAL = "[run]\nscenario = single-trotter\n"
 
@@ -126,11 +129,12 @@ class TestParsing:
                            match=r"^model_y\.delta_a: scenario single-trotter takes no \[model_y\]"):
             parse_config(MINIMAL + "[model_y]\ndelta_a = 1\n")
 
-    def test_transpile_report_takes_plan_dt_as_sample_time(self):
-        text = "[run]\nscenario = transpile-report\n[plan]\ndt = 0.05\n"
-        assert parse_config(text).extras == {"sample_time": 0.05}
-        with_both = parse_config(text + "[scenario]\nsample_time = 0.1\n")
-        assert with_both.extras == {"sample_time": 0.1}
+    def test_transpile_report_reads_sample_time_alone(self):
+        text = "[run]\nscenario = transpile-report\n"
+        assert parse_config(text).extras == {"sample_time": 0.02}
+        with pytest.raises(ConfigError,
+                           match=r"^plan\.dt: scenario transpile-report takes no \[plan\]$"):
+            parse_config(text + "[plan]\ndt = 0.05\n")
 
     def test_empty_unread_sections_are_tolerated(self):
         config = parse_config("[run]\nscenario = spectrum\n[plan]\n[initial]\n[model_y]\n")
@@ -151,7 +155,7 @@ def _readme_config_block() -> str:
 _RUN = {"run.label"}
 _MODEL = {f"model.{key}" for key in
           ("delta_a", "delta_b", "f_dc", "f_ac", "omega", "v", "n_sites")}
-_PLAN = {f"plan.{key}" for key in ("dt", "n_steps", "stepper", "field_sampling", "store_states")}
+_PLAN = {f"plan.{key}" for key in ("dt", "n_steps", "stepper", "field_sampling")}
 _EVOLUTION = _RUN | _MODEL | _PLAN
 #: the keys each scenario reads, out of the README block's keys, their
 #: [model_y] copies, the keys of _PROBE_VALUES and one bogus key a section
@@ -164,7 +168,7 @@ _READS = {
     "dispersion": _RUN | _MODEL | {"scenario.k_points"},
     "ladder": _RUN | _MODEL | {f"scenario.{key}" for key in
                                ("f_const", "alpha_min", "alpha_max", "bands")},
-    "transpile-report": _RUN | _MODEL | {"plan.dt", "scenario.sample_time"},
+    "transpile-report": _RUN | _MODEL | {"scenario.sample_time"},
     "bessel-check": _RUN | _MODEL | {"scenario.n_max", "scenario.x_values"},
     "dim2": _RUN | _MODEL | {key.replace("model.", "model_y.") for key in _MODEL},
 }
@@ -190,26 +194,77 @@ def _probe_values() -> dict[str, str]:
     return values
 
 
+def _accepted_keys(scenario: str) -> set[str]:
+    """The probed section.key locations that a config of the scenario accepts."""
+    base = parse_config(f"[run]\nscenario = {scenario}\n")
+    # the scenario's own default where it has one, so only reading decides
+    plan = vars(base.plan) if base.plan else {}
+    own = {f"plan.{key}": str(value) for key, value in plan.items()}
+    own.update({f"initial.{key}": str(value) for key, value in base.initial.items()})
+    accepted = set()
+    for location, value in _probe_values().items():
+        section, key = location.split(".")
+        sections = {"run": {"scenario": scenario}}
+        sections.setdefault(section, {})[key] = own.get(location, value)
+        try:
+            parse_config(_config_text(sections))
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{location}: "), exc
+        else:
+            accepted.add(location)
+    return accepted
+
+
 class TestReadSet:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_each_scenario_accepts_exactly_the_keys_it_reads(self, scenario):
-        base = parse_config(f"[run]\nscenario = {scenario}\n")
-        # the scenario's own default where it has one, so only reading decides
-        plan = vars(base.plan) if base.plan else {}
-        own = {f"plan.{key}": str(value) for key, value in plan.items()}
-        own.update({f"initial.{key}": str(value) for key, value in base.initial.items()})
-        accepted = set()
-        for location, value in _probe_values().items():
+        assert _accepted_keys(scenario) == _READS[scenario]
+
+
+#: values to try for each [plan] and [scenario] key; the choice keys try every choice
+_OTHER_VALUES = {
+    "plan.dt": ("0.03",), "plan.n_steps": ("7",), "plan.stepper": STEPPERS,
+    "plan.field_sampling": FIELD_SAMPLINGS, "scenario.f_values": ("0, 0.5",),
+    "scenario.k_points": ("11",), "scenario.f_const": ("2",), "scenario.alpha_min": ("-2",),
+    "scenario.alpha_max": ("2",), "scenario.bands": ("+",), "scenario.sample_time": ("0.1",),
+    "scenario.n_max": ("4",), "scenario.x_values": ("1.5",),
+}
+#: the keys that have one legal value: a one-stepper scenario's stepper, RK4's sampling
+_ONE_LEGAL_VALUE = {("single-exact", "plan.stepper"), ("single-trotter", "plan.stepper"),
+                    ("single-ode", "plan.stepper"), ("single-ode", "plan.field_sampling")}
+
+
+def _artifacts(config, out: Path) -> dict[str, bytes]:
+    """The bytes of every artifact a run writes, but its manifest."""
+    return {name: (out / name).read_bytes() for name in run_scenario(config, out)
+            if name != "manifest.json"}
+
+
+class TestEveryKeyCounts:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_each_plan_and_scenario_key_changes_an_artifact(self, tmp_path, scenario):
+        # a driven model, so that the field's sample times matter
+        base = {"run": {"scenario": scenario}, "model": {"f_ac": "0.5", "omega": "2"}}
+        default = parse_config(_config_text(base))
+        want = _artifacts(default, tmp_path / "default")
+        keys = sorted(key for key in _accepted_keys(scenario)
+                      if key.startswith(("plan.", "scenario.")))
+        for location in keys:
             section, key = location.split(".")
-            sections = {"run": {"scenario": scenario}}
-            sections.setdefault(section, {})[key] = own.get(location, value)
-            try:
-                parse_config(_config_text(sections))
-            except ConfigError as exc:
-                assert str(exc).startswith(f"{location}: "), exc
-            else:
-                accepted.add(location)
-        assert accepted == _READS[scenario]
+            others = []
+            for value in _OTHER_VALUES[location]:
+                try:
+                    config = parse_config(_config_text({**base, section: {key: value}}))
+                except ConfigError as exc:
+                    assert str(exc).startswith(f"{location}: "), exc
+                    continue
+                if (config.plan, config.extras) != (default.plan, default.extras):
+                    others.append((value, config))
+            one_legal = (scenario, location) in _ONE_LEGAL_VALUE
+            assert bool(others) != one_legal, f"{location}: {len(others)} other legal values"
+            for i, (value, config) in enumerate(others):
+                got = _artifacts(config, tmp_path / f"{location}-{i}")
+                assert got != want, f"{location} = {value} changed no artifact"
 
 
 class TestScenarioArtifacts:
@@ -243,6 +298,19 @@ class TestScenarioArtifacts:
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,site1,site2,prob"
         assert len(lines) == 1 + 4 * 16
+
+    def test_two_particle_trajectory_is_a_stored_state_run(self, tmp_path):
+        # the run keeps probabilities alone and writes what a full run writes
+        config = parse_config("[run]\nscenario = two-particle\n"
+                              "[model]\nf_ac = 0.5\nomega = 2\n[plan]\nn_steps = 20\n")
+        assert not config.plan.store_states
+        run_scenario(config, tmp_path / "cli")
+        kind, *sites = config.initial.values()
+        traj = run(initial_amplitudes(kind, config.model, *sites), config.model,
+                   dataclasses.replace(config.plan, store_states=True))
+        write_trajectory_csv(traj, tmp_path / "library.csv")
+        assert ((tmp_path / "cli" / "trajectory.csv").read_bytes()
+                == (tmp_path / "library.csv").read_bytes())
 
     def test_two_particle_exact_dense_on_a_six_site_chain(self, tmp_path):
         config = parse_config("[run]\nscenario = two-particle\n[model]\nn_sites = 6\n"
@@ -362,7 +430,9 @@ class TestMain:
         (MINIMAL, "model.f_dc=inf"),
         (MINIMAL, "plan.dt=nan"),
         (MINIMAL, "plan.field_sampling=start"),
+        # the scenario decides what a run keeps
         (MINIMAL, "plan.store_states=false"),
+        ("[run]\nscenario = two-particle\n", "plan.store_states=false"),
         ("[run]\nscenario = spectrum\n", "scenario.f_values=0, inf"),
         (MINIMAL, "initial.site=99"),
         (MINIMAL, "initial.site=-1"),
@@ -375,8 +445,7 @@ class TestMain:
         # 201 * 2**20 * 8 bytes of probabilities alone
         ("[run]\nscenario = single-trotter\n[model]\nn_sites = 1048576\n", "plan.n_steps=100"),
         ("[run]\nscenario = single-ode\n[model]\nn_sites = 1048576\n", "plan.n_steps=100"),
-        ("[run]\nscenario = two-particle\n[model]\nn_sites = 1024\n"
-         "[plan]\nstore_states = false\n", "plan.n_steps=200"),
+        ("[run]\nscenario = two-particle\n[model]\nn_sites = 1024\n", "plan.n_steps=200"),
         # scenario arrays past the same budget: 32 bytes a k point, 24 bytes a
         # rung per band plus 8, 16 bytes an order per x value
         ("[run]\nscenario = dispersion\n", "scenario.k_points=1000000000"),
@@ -387,8 +456,9 @@ class TestMain:
         # Bessel orders past the cap, from n_max or from |x| + 40
         ("[run]\nscenario = bessel-check\n", "scenario.n_max=3000000"),
         ("[run]\nscenario = bessel-check\n", "scenario.x_values=2, -1e9"),
-        # transpile-report reads plan.dt alone
+        # transpile-report reads no [plan], and one particle's RK4 no sampling
         ("[run]\nscenario = transpile-report\n", "plan.n_steps=3"),
+        ("[run]\nscenario = single-ode\n", "plan.field_sampling=midpoint"),
         # lowerings past 2**13 sites, or 2**12 with a second register
         ("[run]\nscenario = transpile-report\n", "model.n_sites=16384"),
         ("[run]\nscenario = transpile-report\n[model]\nv = 2\n", "model.n_sites=8192"),
@@ -524,8 +594,7 @@ class TestCliProperties:
         n_sites = sections["model"]["n_sites"]
         faults += [("initial", key, bad) for key in sections.get("initial", ())
                    for bad in (n_sites, -1)]
-        # a valid key in a section the scenario does not read; transpile-report
-        # reads plan.dt alone, so its plan.n_steps is refused too
+        # a valid key in a section the scenario does not read
         unread = [("initial", "kind", "spike"), ("model_y", "delta_a", "1"),
                   ("plan", "n_steps", "3")]
         faults += [fault for fault in unread if fault[0] not in sections]

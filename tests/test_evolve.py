@@ -36,6 +36,10 @@ class TestPlan:
         with pytest.raises(ValueError, match="field_sampling"):
             EvolutionPlan(dt=0.1, n_steps=5, field_sampling="start")
 
+    def test_rk4_takes_end_sampling_alone(self):
+        with pytest.raises(ValueError, match=r"^field_sampling: ode-rk4 "):
+            EvolutionPlan(dt=0.1, n_steps=5, stepper="ode-rk4", field_sampling="midpoint")
+
     def test_sample_times(self):
         end = EvolutionPlan(dt=0.5, n_steps=4)
         mid = EvolutionPlan(dt=0.5, n_steps=4, field_sampling="midpoint")

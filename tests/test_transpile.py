@@ -466,6 +466,11 @@ class TestQasm:
             parse_qasm(text)
         assert line in str(err.value)
 
+    def test_parse_rejects_a_bad_op_naming_the_line(self):
+        text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[1],q[1];\n'
+        with pytest.raises(ValueError, match=r"^control and target must differ: cx q\[1\],q\[1\];$"):
+            parse_qasm(text)
+
     def test_parse_rejects_repeated_qreg(self):
         text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nqreg q[3];\ncx q[0],q[2];\n'
         with pytest.raises(ValueError, match=r"qreg q\[3\]"):
