@@ -187,7 +187,10 @@ def _transpile_extras(sec: _Section, model: ModelParams) -> dict:
     if model.gamma > gamma_max:
         _fail("model", "n_sites", f"must be <= {2 ** gamma_max} for transpile-report"
               f"{' with v != 0' if model.v else ''}, got {model.n_sites}")
-    return {"sample_time": sec.get_float("sample_time", 0.02)}
+    sample_time = sec.get_float("sample_time", 0.02)
+    if sample_time <= 0:
+        _fail("scenario", "sample_time", f"must be > 0, got {sample_time}")
+    return {"sample_time": sample_time}
 
 
 def _bessel_extras(sec: _Section, model: ModelParams) -> dict:

@@ -124,40 +124,6 @@ class Statevector:
         return self.num_registers * self.qubits_per_register
 
 
-def _runs(qubits) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive qubits as (lowest qubit, width), highest first."""
-    runs: list[tuple[int, int]] = []
-    for q in sorted(qubits, reverse=True):
-        if runs and runs[-1][0] == q + 1:
-            runs[-1] = (q, runs[-1][1] + 1)
-        else:
-            runs.append((q, 1))
-    return runs
-
-
-def _run_view(amps: np.ndarray, n_qubits: int, runs) -> tuple[np.ndarray, list[int]]:
-    """View the last axis of ``amps`` with one axis per run of qubits.
-
-    The last axis is split in C order, highest qubit first, so a run
-    (low, width) becomes an axis of size 2**width indexed by bits
-    low .. low+width-1 of the basis index. Each gap between runs becomes
-    one axis too. ``runs`` must be disjoint and sorted highest first.
-    Returns the view and the axis of each run.
-    """
-    shape = list(amps.shape[:-1])
-    axes = []
-    top = n_qubits
-    for low, width in runs:
-        if top > low + width:
-            shape.append(1 << (top - low - width))
-        axes.append(len(shape))
-        shape.append(1 << width)
-        top = low
-    if top:
-        shape.append(1 << top)
-    return amps.reshape(shape), axes
-
-
 def apply_gate_to_array(amps: np.ndarray, n_qubits: int, gate: Gate) -> None:
     """Apply one gate in place along the last axis of ``amps``.
 
@@ -176,35 +142,28 @@ def apply_gate_to_array(amps: np.ndarray, n_qubits: int, gate: Gate) -> None:
     if not amps.flags.c_contiguous:
         raise ValueError("amplitudes must be C-contiguous to be updated in place")
 
+    # qubit q is axis -1 - q: the last axis split in C order, highest qubit first
+    view = amps.reshape(amps.shape[:-1] + (2,) * n_qubits)
     if isinstance(gate, DiagonalGate):
-        runs = _runs(qubits)
-        view, axes = _run_view(amps, n_qubits, runs)
         # diagonal[j] has qubits[0] as its lowest bit; order its axes highest
-        # qubit first, as in the view, then merge each run into one axis
+        # qubit first, as in the view, then give every other axis length 1
         m = len(qubits)
         by_qubit = sorted(range(m), key=lambda j: -qubits[j])
         phases = gate.diagonal.reshape((2,) * m).transpose([m - 1 - j for j in by_qubit])
         shape = [1] * view.ndim
-        for axis, (_, width) in zip(axes, runs):
-            shape[axis] = 1 << width
+        for q in qubits:
+            shape[-1 - q] = 2
         view *= phases.reshape(shape)
         return
 
-    # each run of controls is one axis, fixed at the index its polarities spell
-    polarity = dict(gate.controls)
-    runs = sorted(_runs(polarity) + [(gate.target, 1)], reverse=True)
-    view, axes = _run_view(amps, n_qubits, runs)
+    # each control's axis is fixed at its polarity; a length-1 slice, not an
+    # integer, so a0 and a1 stay array views
     index = [slice(None)] * view.ndim
-    for axis, (low, width) in zip(axes, runs):
-        if low == gate.target:
-            target_axis = axis
-        else:
-            fixed = sum(polarity[q] << (q - low) for q in range(low, low + width))
-            # a length-1 slice, not an integer, so a0 and a1 stay array views
-            index[axis] = slice(fixed, fixed + 1)
-    index[target_axis] = slice(0, 1)
+    for q, p in gate.controls:
+        index[-1 - q] = slice(p, p + 1)
+    index[-1 - gate.target] = slice(0, 1)
     a0 = view[tuple(index)]
-    index[target_axis] = slice(1, 2)
+    index[-1 - gate.target] = slice(1, 2)
     a1 = view[tuple(index)]
     u = gate.unitary
     # a0' = u00*a0 + u01*a1 and a1' = u10*a0 + u11*a1, with two temporaries

@@ -205,15 +205,17 @@ def _is_x(u: np.ndarray) -> bool:
 
 
 def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
-    """Principal square root of a 2x2 unitary."""
+    """A square root of a 2x2 unitary: V = (U + sI) / sqrt(tr U + 2s), s**2 = det U.
+
+    By Cayley-Hamilton V @ V = U for either s; the one with |tr U + 2s| >= 2,
+    which a unitary always has, keeps the division well conditioned.
+    """
     u = np.asarray(u, dtype=complex)
-    if abs(u[0, 1]) < _DIAG_TOL and abs(u[1, 0]) < _DIAG_TOL:
-        return np.diag(np.exp(0.5j * np.angle(np.diag(u)))).astype(complex)
-    w, v = np.linalg.eig(u)
-    # off-diagonal nonzero => distinct eigenvalues => eigenvectors of the
-    # normal matrix are orthogonal once normalized
-    v /= np.linalg.norm(v, axis=0, keepdims=True)
-    return (v * np.exp(0.5j * np.angle(w))) @ v.conj().T
+    tr = u[0, 0] + u[1, 1]
+    s = np.sqrt(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
+    if abs(tr + 2.0 * s) < abs(tr - 2.0 * s):
+        s = -s
+    return (u + s * np.eye(2)) / np.sqrt(tr + 2.0 * s)
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,9 @@ class TestMain:
         ("[run]\nscenario = transpile-report\n", "model.n_sites=16384"),
         ("[run]\nscenario = transpile-report\n[model]\nv = 2\n", "model.n_sites=8192"),
         ("[run]\nscenario = transpile-report\n[model]\nv = 2\n", "model.n_sites=1048576"),
+        # the report's step is as long as its sample time, like plan.dt
+        ("[run]\nscenario = transpile-report\n", "scenario.sample_time=0"),
+        ("[run]\nscenario = transpile-report\n", "scenario.sample_time=-0.5"),
     ])
     def test_bad_value_exits_two_with_section_key(self, tmp_path, capsys, text, override):
         code, _ = _run_main(tmp_path, text, "--override", override)

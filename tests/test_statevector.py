@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochsim.circuits import Circuit, build_two_particle_step, circuit_unitary
+from blochsim.cli import parse_config
 from blochsim.evolve import EvolutionPlan
 from blochsim.model import ModelParams
 from blochsim.oracles import dense_propagator
@@ -285,6 +286,19 @@ class TestKernelProperties:
         got = batch.copy()
         apply_gate_to_array(got, n, gate)
         np.testing.assert_allclose(got, batch @ _dense(gate, n).T, rtol=0, atol=1e-12)
+
+    def test_largest_register_the_cli_accepts(self):
+        # one two-particle step at 8192 sites sits exactly at the trajectory
+        # budget; its 26 qubits are 26 axes, within numpy 1.x's limit of 32.
+        # Zero rows allocate nothing.
+        config = parse_config("[run]\nscenario = two-particle\n[model]\nn_sites = 8192\n"
+                              "[plan]\nn_steps = 1\n")
+        n = 2 * config.model.gamma
+        assert n == 26
+        amps = np.zeros((0, 2 ** n), dtype=complex)
+        apply_gate_to_array(amps, n, ControlledGate(n - 1, _X, tuple((q, 1) for q in range(n - 1))))
+        apply_gate_to_array(amps, n, DiagonalGate((0, n - 1), np.exp(1j * np.arange(4.0))))
+        assert amps.shape == (0, 2 ** n)
 
     @pytest.mark.parametrize("amps", [
         np.eye(8, dtype=complex)[:, 3],   # one column of a matrix

@@ -16,13 +16,15 @@ from blochsim.circuits import (
     circuit_unitary,
 )
 from blochsim.model import ModelParams, params_with_gamma
-from blochsim.statevector import ControlledGate, DiagonalGate
+from blochsim.statevector import ControlledGate, DiagonalGate, apply_gate_to_array
 from blochsim.transpile import (
     REFERENCE_STEP_COUNTS_3Q,
     BasisCircuit,
     CXGate,
     U1Gate,
     U3Gate,
+    _as_gate,
+    _unitary_sqrt,
     basis_unitary,
     count,
     decompose,
@@ -73,6 +75,11 @@ class TestSingleGates:
             _check_exact(circuit)
 
 
+_W = _random_unitary_2x2(np.random.default_rng(43))
+# eigenvalues e^{+-i(pi - 1e-9)}, in a random basis
+_NEAR_MINUS_ONE_PAIR = _W @ np.diag(np.exp(np.array([1j, -1j]) * (np.pi - 1e-9))) @ _W.conj().T
+
+
 class TestControlledDecomposition:
     @pytest.mark.parametrize("n_controls", [1, 2, 3])
     def test_random_multi_controlled(self, n_controls):
@@ -94,6 +101,38 @@ class TestControlledDecomposition:
         gate = ControlledGate(target=0, unitary=_X, controls=((1, 0),))
         basis = _check_exact(Circuit(2, (gate,)))
         assert count(basis).cx >= 1
+
+    def test_root_of_root_stays_exact(self):
+        # C^k X takes X^(1/2^j) for j up to k; each root is taken of the last
+        v = _X
+        for _ in range(20):
+            root = _unitary_sqrt(v)
+            np.testing.assert_allclose(root @ root, v, rtol=0, atol=1e-14)
+            v = root
+
+    @pytest.mark.parametrize("u", [
+        -np.eye(2, dtype=complex),
+        np.array([[0, -1j], [1j, 0]]),
+        _NEAR_MINUS_ONE_PAIR,
+    ], ids=["minus-identity", "y", "conjugate-pair-near-minus-one"])
+    def test_root_near_minus_one(self, u):
+        root = _unitary_sqrt(u)
+        np.testing.assert_allclose(root @ root, u, rtol=0, atol=1e-14)
+        _check_exact(Circuit(4, (ControlledGate(3, u, ((0, 1), (1, 1), (2, 1))),)))
+
+    def test_nine_controlled_x_on_random_states(self):
+        n = 10
+        gate = ControlledGate(n - 1, _X, tuple((q, 1) for q in range(n - 1)))
+        basis = decompose(Circuit(n, (gate,)))
+        rng = np.random.default_rng(44)
+        psi = rng.standard_normal((2, 2 ** n)) + 1j * rng.standard_normal((2, 2 ** n))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        want = psi.copy()
+        apply_gate_to_array(want, n, gate)
+        gates = {id(op): _as_gate(op, range(n)) for op in basis.ops}
+        for op in basis.ops:
+            apply_gate_to_array(psi, n, gates[id(op)])
+        np.testing.assert_allclose(psi * np.exp(1j * basis.global_phase), want, rtol=0, atol=1e-12)
 
 
 def _relabelled(ops, mapping: dict) -> tuple:
