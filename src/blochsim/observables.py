@@ -27,6 +27,8 @@ from .oracles import dense_hamiltonian
 
 #: Rows ``write_csv`` formats per write, so no full-file string is built.
 CSV_BLOCK_ROWS = 4096
+#: Amplitudes ``momentum_series`` transforms per block, so its FFT temporaries stay bounded.
+MOMENTUM_BLOCK_AMPS = 2 ** 20
 
 
 def site_probabilities(state) -> np.ndarray:
@@ -222,8 +224,15 @@ def probability_series(traj) -> ObservableSeries:
 
 
 def momentum_series(traj) -> ObservableSeries:
-    """Sublattice momentum expectations along a trajectory (needs amplitudes)."""
-    values = np.stack(sublattice_momentum(traj.amplitudes()), axis=-1)
+    """Sublattice momentum expectations along a trajectory (needs amplitudes).
+
+    The rows go through ``sublattice_momentum`` in blocks of at most
+    ``MOMENTUM_BLOCK_AMPS`` amplitudes (one row if a row is larger).
+    """
+    amps = traj.amplitudes()
+    rows = max(1, MOMENTUM_BLOCK_AMPS // amps.shape[-1])
+    values = np.concatenate([np.stack(sublattice_momentum(amps[lo:lo + rows]), axis=-1)
+                             for lo in range(0, len(amps), rows)])
     return ObservableSeries("momentum", traj.times, values, ("mom_a", "mom_b"))
 
 

@@ -38,7 +38,7 @@ def check_dense_dim(dim: int) -> None:
 def _bond_hop(n: int, first: int, delta: float) -> np.ndarray:
     """Hopping -delta/4 on the bonds (l, l+1 mod n) for l = first, first+2, ..."""
     check_dense_dim(n)
-    h = np.zeros((n, n), dtype=complex)
+    h = np.zeros((n, n))
     lo = np.arange(first, n, 2)
     hi = (lo + 1) % n
     h[lo, hi] = h[hi, lo] = -delta / 4.0
@@ -59,7 +59,7 @@ def dense_field(params: ModelParams, t: float = 0.0) -> np.ndarray:
     """Diagonal tilt F(t) * l."""
     n = params.n_sites
     check_dense_dim(n)
-    return np.diag(params.field(t) * np.arange(n)).astype(complex)
+    return np.diag(params.field(t) * np.arange(n))
 
 
 def dense_hamiltonian(params: ModelParams, t: float = 0.0) -> np.ndarray:
@@ -88,8 +88,8 @@ def dense_2d_hamiltonian(params_x: ModelParams, params_y: ModelParams, t: float 
 
 
 def dense_propagator(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) through a Hermitian eigendecomposition."""
-    h = np.asarray(h, dtype=complex)
+    """exp(-i h dt) through a Hermitian eigendecomposition, real when h is real."""
+    h = np.asarray(h)
     scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
     if not np.max(np.abs(h - h.conj().T)) <= HERMITICITY_TOL * scale:  # also true for NaN
         raise ValueError("dense_propagator requires a Hermitian matrix")

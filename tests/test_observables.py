@@ -183,11 +183,17 @@ class TestSeries:
                 pos.values[k], sublattice_position(traj.amplitudes(k)), atol=1e-12
             )
 
-    @pytest.mark.parametrize("n_sites", [4, 64, 256])
-    def test_series_equal_the_per_state_functions_exactly(self, n_sites):
+    # at 4096 sites the 501 rows span two momentum_series blocks (256 rows each)
+    @pytest.mark.parametrize("n_sites, stepper", [
+        pytest.param(4, "exact-dense", id="4"),
+        pytest.param(64, "exact-dense", id="64"),
+        pytest.param(256, "exact-dense", id="256"),
+        pytest.param(4096, "trotter1", id="4096"),
+    ])
+    def test_series_equal_the_per_state_functions_exactly(self, n_sites, stepper):
         p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, n_sites=n_sites)
         traj = run(initial_amplitudes("gaussian", p), p,
-                   EvolutionPlan(dt=0.01, n_steps=500, stepper="exact-dense"))
+                   EvolutionPlan(dt=0.01, n_steps=500, stepper=stepper))
         rows = [traj.amplitudes(k) for k in range(len(traj))]
         np.testing.assert_array_equal(position_series(traj).values,
                                       [sublattice_position(a) for a in rows])

@@ -74,6 +74,13 @@ class TestDenseMatrices:
         )
         np.testing.assert_allclose(h, expected, atol=0)
 
+    def test_builders_are_real(self):
+        # every term is real, so dense_propagator can run a real eigh
+        p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.0, f_ac=0.5, omega=2.0, v=2.0, n_sites=4)
+        for h in (dense_intra_hop(p), dense_inter_hop(p), dense_field(p, 0.3),
+                  dense_hamiltonian(p, 0.3), dense_two_particle_hamiltonian(p, 0.3),
+                  dense_2d_hamiltonian(p, DEMO, 0.3)):
+            assert h.dtype == np.float64
 
     def test_hops_equal_the_bond_loop(self):
         # a bond-by-bond reference over (l, l+1 mod N), l = first, first+2, ...;
@@ -118,6 +125,23 @@ class TestPropagator:
         u = dense_propagator(h, 0.37)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-13)
         np.testing.assert_allclose(u, expm(-1j * 0.37 * h), atol=1e-12)
+
+    def test_complex_hermitian_matches_expm(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        h = a + a.conj().T
+        assert np.max(np.abs(h.imag)) > 0.1
+        np.testing.assert_allclose(dense_propagator(h, 0.37), expm(-1j * 0.37 * h), atol=1e-12)
+
+    @pytest.mark.parametrize("particles, n_sites", [(1, 256), (2, 16)])
+    @pytest.mark.parametrize("f_ac", [0.0, 0.5])
+    def test_real_input_matches_its_complex_copy(self, particles, n_sites, f_ac):
+        p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=1.5, f_ac=f_ac, omega=2.0, v=2.0,
+                        n_sites=n_sites)
+        build = dense_hamiltonian if particles == 1 else dense_two_particle_hamiltonian
+        h = build(p, 0.7)
+        diff = dense_propagator(h, 0.05) - dense_propagator(h.astype(complex), 0.05)
+        assert np.max(np.abs(diff)) <= 1e-13
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
