@@ -91,8 +91,9 @@ def dispersion(params: ModelParams, k) -> tuple[np.ndarray, np.ndarray]:
     """Two-band energies (upper, lower) at crystal momentum k.
 
     eps_+-(k) = +- (1/4) sqrt(delta_a^2 + delta_b^2 + 2 delta_a delta_b cos 2k);
-    at delta_a = delta_b the gap closes and the branches merge into
-    +-(delta/2)|cos k|.
+    the gap closes at |delta_a| = |delta_b|, where the branches merge into
+    +-(delta/2)|cos k| at delta_a = delta_b = delta and +-(delta/2)|sin k|
+    at delta_a = -delta_b = delta.
     """
     k = np.asarray(k, dtype=float)
     root = 0.25 * np.sqrt(
@@ -118,45 +119,31 @@ class LadderSpectrum:
     offset: float
 
 
-def _eigenvector_phase(params: ModelParams, band: str, k: np.ndarray) -> np.ndarray:
-    """Even-sublattice Bloch amplitude D(k) = -4 eps(k) / (da e^{ik} + db e^{-ik})."""
-    sign = 1.0 if band == "+" else -1.0
-    upper, lower = dispersion(params, k)
-    eps = upper if sign > 0 else lower
-    den = params.delta_a * np.exp(1j * k) + params.delta_b * np.exp(-1j * k)
-    return -4.0 * eps / den
+def _band_mean(delta_a: float, delta_b: float) -> float:
+    """M = (1/pi) * integral over |k| < pi/2 of |delta_a e^{ik} + delta_b e^{-ik}|.
 
-
-def _berry_connection(params: ModelParams, band: str, k: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """X(k) = Re[(i/2) conj(D) dD/dk] by central differences.
-
-    D is a pure phase, so X is real analytically; the real part discards
-    rounding. At delta_a == delta_b the bands touch, D is piecewise
-    constant, and the connection vanishes identically — returned directly
-    because a finite difference straddling the touching point is garbage.
+    With B = |delta_a| + |delta_b| and b = ||delta_a| - |delta_b||, M is
+    (2/pi) B E(1 - (b/B)^2), a complete elliptic integral of the second
+    kind, taken by the arithmetic-geometric mean of 1 and b/B (Abramowitz
+    & Stegun 17.6): E = K (1 - sum_n 2^(n-1) c_n^2) with K = pi / (2 a_N),
+    and c_0^2 = 4 |delta_a delta_b| / B^2. At b = 0 the means cannot meet
+    (the geometric one stays 0), but E(1) = 1 and M = 2B/pi.
     """
-    if params.delta_a == params.delta_b:
-        return np.zeros_like(np.asarray(k, dtype=float))
-    d0 = _eigenvector_phase(params, band, k)
-    dp = _eigenvector_phase(params, band, k + h)
-    dm = _eigenvector_phase(params, band, k - h)
-    return np.real(0.5j * np.conj(d0) * (dp - dm) / (2.0 * h))
-
-
-def _simpson(f, lo: float, hi: float, tol: float = 1e-8, max_doublings: int = 18) -> float:
-    """Composite Simpson with panel doubling until the estimate settles."""
-    panels = 8
-    prev = None
-    for _ in range(max_doublings):
-        x = np.linspace(lo, hi, panels + 1)
-        y = f(x)
-        step = (hi - lo) / panels
-        total = step / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2]))
-        if prev is not None and abs(total - prev) < tol:
-            return total
-        prev = total
-        panels *= 2
-    raise RuntimeError("quadrature did not settle within the doubling budget")
+    big = abs(delta_a) + abs(delta_b)
+    small = abs(abs(delta_a) - abs(delta_b))
+    if small == 0.0:
+        return 2.0 * big / math.pi
+    # scaled by B so that no square overflows; 1 - c_0^2 / 2 = (delta_a^2 + delta_b^2) / B^2
+    a, g = 1.0, small / big
+    total, weight = (delta_a / big) ** 2 + (delta_b / big) ** 2, 0.5
+    for _ in range(64):  # quadratic convergence: a handful of steps for any g > 0
+        if a - g <= 4e-16 * a:
+            break
+        c = 0.5 * (a - g)
+        a, g = 0.5 * (a + g), math.sqrt(a * g)
+        weight *= 2.0
+        total -= weight * c * c
+    return big * total / a
 
 
 def stark_ladder(params: ModelParams, f_const: float, alpha_range: tuple[int, int],
@@ -164,30 +151,33 @@ def stark_ladder(params: ModelParams, f_const: float, alpha_range: tuple[int, in
     """Rung energies E_alpha = 2 F alpha + offset for one band.
 
     offset = F + (1/pi) * integral over half the zone of [eps(k) - F X(k)],
-    evaluated with endpoint-nudged Simpson doubling (the phase D has a
-    removable 0/0 at the zone edge when the gap closes).
+    taken in closed form for any hoppings, the gap closing included:
+
+        offset = F (1 - s/2) +- M/4,    s = sign(|delta_a| - |delta_b|),
+
+    with + for the upper band. The band term is the mean of |eps| over the
+    zone, M/4 (see ``_band_mean``). The Berry connection
+    X(k) = (delta_a^2 - delta_b^2) / (2 (delta_a^2 + delta_b^2 + 2 delta_a delta_b cos 2k))
+    is the same for both bands and integrates to (pi/2) s, the Zak phase;
+    s = 0 when the gap closes.
 
     The extra half-rung F comes from the quantization condition: the Bloch
     eigenvector section is antiperiodic over the zone (phi_{k+pi} = -phi_k,
-    because D(k+pi) = -D(k) and the site phase e^{-ikl} staggers), so the
-    accumulated phase around the zone must be pi mod 2pi rather than 0.
-    Without it the rungs land half a spacing away from the dense spectrum;
-    with it they agree up to an O(F^2) adiabatic residual (about 0.12 F^2
-    for delta_a=5, delta_b=1), checked against exact diagonalization.
+    because the even-sublattice amplitude -4 eps / (delta_a e^{ik} + delta_b e^{-ik})
+    flips sign and the site phase e^{-ikl} staggers), so the accumulated
+    phase around the zone must be pi mod 2pi rather than 0. Without it the
+    rungs land half a spacing away from the dense spectrum; with it they
+    agree up to an O(F^2) adiabatic residual (about 0.12 F^2 for
+    delta_a=5, delta_b=1), checked against exact diagonalization.
     """
     if band not in ("+", "-"):
         raise ValueError(f"band must be '+' or '-', got {band!r}")
     alpha_lo, alpha_hi = alpha_range
     if alpha_hi < alpha_lo:
         raise ValueError("empty alpha range")
-    edge = np.pi / 2.0 - 1e-9
-
-    def integrand(k: np.ndarray) -> np.ndarray:
-        upper, lower = dispersion(params, k)
-        eps = upper if band == "+" else lower
-        return eps - f_const * _berry_connection(params, band, k)
-
-    offset = f_const + _simpson(integrand, -edge, edge) / np.pi
+    zak = float(np.sign(abs(params.delta_a) - abs(params.delta_b)))
+    band_term = 0.25 * _band_mean(params.delta_a, params.delta_b)
+    offset = f_const * (1.0 - 0.5 * zak) + (band_term if band == "+" else -band_term)
     alphas = np.arange(alpha_lo, alpha_hi + 1)
     energies = 2.0 * f_const * alphas + offset
     return LadderSpectrum(band=band, alphas=alphas, energies=energies, offset=float(offset))

@@ -350,6 +350,21 @@ class TestScenarioArtifacts:
         assert lines[0] == "band,alpha,energy"
         assert len(lines) == 1 + 2 * 7
 
+    @pytest.mark.parametrize("delta_a, delta_b", [
+        (-3.0, 3.0), (3.0, -3.0), (3.0, 3.0), (0.0, 3.0), (0.0, 0.0), (3.0, 3.001),
+    ])
+    def test_ladder_runs_at_the_gap_closing(self, tmp_path, delta_a, delta_b):
+        f = 0.75
+        code, out = _run_main(tmp_path, "[run]\nscenario = ladder\n"
+                              f"[model]\ndelta_a = {delta_a}\ndelta_b = {delta_b}\n"
+                              f"[scenario]\nf_const = {f}\n")
+        assert code == 0
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        # both bands share the Zak term -F s / 2, and their band terms cancel
+        s = np.sign(abs(delta_a) - abs(delta_b))
+        total = notes["offset_minus"] + notes["offset_plus"]
+        assert total == pytest.approx(f * (2 - s), abs=1e-12)
+
     def test_transpile_report(self, tmp_path):
         config = parse_config("[run]\nscenario = transpile-report\n[model]\nn_sites = 8\n")
         run_scenario(config, tmp_path)
@@ -542,6 +557,8 @@ def _valid_configs(draw):
     base = parse_config(f"[run]\nscenario = {scenario}\n")
     n_sites = draw(st.sampled_from([2, 4, 8, 16]))
     model = {"n_sites": n_sites, "f_ac": draw(st.sampled_from([0.0, 0.5])), "omega": 2.0}
+    hoppings = st.sampled_from([-3.0, 0.0, 1.0, 3.0])
+    model |= {"delta_a": draw(hoppings), "delta_b": draw(hoppings)}
     sections = {"run": {"scenario": scenario}, "model": model, "scenario": {}}
     if base.plan is not None:
         sections["plan"] = {"n_steps": draw(st.integers(1, 10))}

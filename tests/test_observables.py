@@ -1,4 +1,6 @@
 """Sublattice, momentum, and spectral observables."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,27 +121,50 @@ class TestStarkLadder:
 
     def test_band_offsets_sum_to_f(self):
         # eps_+ = -eps_- and both bands share the geometric term, which
-        # integrates to pi/2 over the zone; the offsets therefore sum to F
+        # integrates to (pi/2) s over the zone (s = 1 here); the offsets
+        # therefore sum to F (2 - s) = F
         for f in (0.5, 1.0):
             lo = stark_ladder(LADDER, f, (0, 0), band="-")
             hi = stark_ladder(LADDER, f, (0, 0), band="+")
-            assert lo.offset + hi.offset == pytest.approx(f, abs=1e-7)
+            assert lo.offset + hi.offset == pytest.approx(f, abs=1e-12)
 
     def test_offset_regression(self):
         # frozen against exact diagonalization of the N=20 chain at F=1
         ladder = stark_ladder(LADDER, 1.0, (0, 0))
         assert ladder.offset == pytest.approx(-0.7625315663570189, abs=1e-8)
 
-    def test_interior_rungs_match_dense_spectrum(self):
+    @pytest.mark.parametrize("delta_a, delta_b", [
+        (5.0, 1.0), (1.0, 5.0), (-5.0, 1.0), (5.0, -1.0), (2.0, 3.0), (0.0, 3.0), (3.0, 0.0),
+        (0.0, 0.0), (3.0, 3.0), (-3.0, 3.0), (3.0, 3.001), (3.0, 3.0 + 1e-12),
+    ])
+    def test_band_mean_is_the_elliptic_integral(self, delta_a, delta_b):
+        from scipy.special import ellipe
+
+        # offset_+ - offset_- = M/2, M = (2/pi) B E(1 - (b/B)^2)
+        p = ModelParams(delta_a=delta_a, delta_b=delta_b, n_sites=4)
+        mean = 2.0 * (stark_ladder(p, 1.0, (0, 0), band="+").offset
+                      - stark_ladder(p, 1.0, (0, 0), band="-").offset)
+        big, small = abs(delta_a) + abs(delta_b), abs(abs(delta_a) - abs(delta_b))
+        want = 2.0 / np.pi * big * ellipe(1.0 - (small / big) ** 2) if big else 0.0
+        assert mean == pytest.approx(want, rel=1e-13, abs=1e-13)
+        # and M = 4 <eps_+> over the zone, by the periodic trapezoid rule
+        k = -np.pi / 2.0 + np.pi * np.arange(2 ** 16) / 2 ** 16
+        assert mean == pytest.approx(4.0 * np.mean(dispersion(p, k)[0]), rel=1e-8, abs=1e-13)
+
+    @pytest.mark.parametrize("delta_a, delta_b, f, n_sites", [
+        (5.0, 1.0, 1.0, 20), (1.0, 5.0, 1.0, 20), (-5.0, 1.0, 1.0, 20),
+        (2.0, 3.0, 0.5, 40), (3.0, 2.0, 0.5, 40),
+    ])
+    def test_interior_rungs_match_dense_spectrum(self, delta_a, delta_b, f, n_sites):
         from blochsim.oracles import dense_hamiltonian
 
-        f = 1.0
-        p = ModelParams(delta_a=5.0, delta_b=1.0, f_dc=f, n_sites=20)
+        p = ModelParams(delta_a=delta_a, delta_b=delta_b, f_dc=f, n_sites=n_sites)
         h = dense_hamiltonian(p)
         w, v = np.linalg.eigh(h)
-        h0 = dense_hamiltonian(ModelParams(delta_a=5.0, delta_b=1.0, f_dc=0.0, n_sites=20))
+        h0 = dense_hamiltonian(replace(p, f_dc=0.0))
         rungs = {
-            band: stark_ladder(p, f, (-12, 12), band=band).energies for band in ("-", "+")
+            band: stark_ladder(p, f, (-3 * n_sites, 3 * n_sites), band=band).energies
+            for band in ("-", "+")
         }
         checked = 0
         for i in range(w.size):
@@ -149,6 +174,8 @@ class TestStarkLadder:
             band = "+" if float(np.real(vec.conj() @ h0 @ vec)) > 0 else "-"
             nearest = rungs[band][np.argmin(np.abs(rungs[band] - w[i]))]
             assert abs(nearest - w[i]) / abs(w[i]) < 0.05
+            # measured 0.124 F (0.007 F at F = 0.5); the other Zak branch is >= 0.87 F off
+            assert abs(nearest - w[i]) <= 0.25 * f
             checked += 1
         assert checked >= 6
 
