@@ -58,6 +58,7 @@ from .transpile import (
     emit_qasm,
     equivalent_up_to_phase,
     parse_qasm,
+    write_qasm,
 )
 
 __all__ = [
@@ -103,5 +104,6 @@ __all__ = [
     "count",
     "equivalent_up_to_phase",
     "emit_qasm",
+    "write_qasm",
     "parse_qasm",
 ]

@@ -33,7 +33,9 @@ from . import observables as obs
 from .observables import write_csv
 from .oracles import DENSE_DIM_MAX, bessel_jn_sequence, dense_2d_hamiltonian, dense_hamiltonian
 from .circuits import build_trotter_step, build_two_particle_step
-from .transpile import REFERENCE_STEP_COUNTS_3Q, count, decompose, emit_qasm
+# emit_qasm stays a module attribute: perfbench's tracer wraps it here
+from .transpile import (REFERENCE_STEP_COUNTS_3Q, count, decompose, emit_qasm,  # noqa: F401
+                        write_qasm)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run_scenario", "main"]
 
@@ -47,11 +49,12 @@ _MEMORY_BUDGET = DENSE_DIM_MAX ** 2 * 16
 #: highest Bessel order bessel-check computes, far past the oracle's n <= 60;
 #: the recurrence's time grows faster than linearly with the order
 _BESSEL_ORDER_MAX = 100_000
-#: largest gamma transpile-report lowers, one less when v != 0. On one BLAS
-#: thread one particle took 0.11 s / 46 MiB at 1024 sites, 0.89 s / 159 MiB
-#: at 4096 and 2.4-2.8 s / 425 MiB at 8192 (1.77 M CX, a 163 MB QASM file);
-#: two particles took 1.1 s / 240 MiB at 2048 and 5.7 s / 800 MiB at 4096,
-#: of which the dense 2^(2 gamma) contact diagonal alone took 4.1 s / 750 MiB
+#: largest gamma transpile-report lowers, one less when v != 0. It writes
+#: each lowering entry's text once, so on one BLAS thread one particle took
+#: 0.03 s / 32 MiB at 1024 sites, 0.10 s at 4096 and 0.1-0.2 s / 32 MiB at
+#: 8192 (1.77 M CX, a 165 MB QASM file); two particles took 1.2 s / 224 MiB
+#: at 2048 and 4.1 s / 752 MiB at 4096, most of it the dense 2^(2 gamma)
+#: contact diagonal. The cap stays 13: the flat file grows about 3x a qubit
 _REPORT_GAMMA_MAX = 13
 
 
@@ -264,7 +267,7 @@ def _run_transpile_report(config: RunConfig, out: Path) -> tuple[list[str], dict
         circuit = build_trotter_step(config.model, dt, dt)
     basis = decompose(circuit)
     counts = count(basis)
-    (out / "circuit.qasm").write_text(emit_qasm(basis), encoding="ascii")
+    write_qasm(basis, out / "circuit.qasm")
     report = {"qubits": basis.qubit_count, "counts": counts.as_dict()}
     if basis.qubit_count == 3:
         report["reference_counts_3q"] = REFERENCE_STEP_COUNTS_3Q

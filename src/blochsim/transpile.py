@@ -3,7 +3,9 @@
 Controlled gates are expanded with the standard two-CX ABC construction
 (one control) and the recursive square-root construction (more controls);
 each distinct controlled gate, open-control X wraps included, is lowered
-once per call on its own qubits.
+and checked once per call on its own qubits, as one entry of a table that
+every use shares. Tallies, depth and QASM text are then built once per
+entry, not once per flattened op.
 Diagonal gates become parity ladders: a Walsh-Hadamard transform of the
 phase vector yields one Z-string angle per qubit subset, and each string is
 a CX ladder around a U1. The global phase created by these rewrites is
@@ -14,6 +16,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -32,11 +37,21 @@ __all__ = [
     "basis_unitary",
     "equivalent_up_to_phase",
     "emit_qasm",
+    "write_qasm",
     "parse_qasm",
     "REFERENCE_STEP_COUNTS_3Q",
 ]
 
 _DIAG_TOL = 1e-12
+#: largest entry error a lowered controlled gate may show when it is checked:
+#: max |V V - U| for the square root of a gate with two or more controls, max
+#: |product of the ops - U| for a gate with at most one. Gate unitaries are
+#: unitary to 1e-12; on the step circuits up to gamma 13 and on random gates
+#: with up to 7 controls the largest error seen was 9e-16
+_LOWER_TOL = 1e-10
+#: largest entry, in flat ops, whose QASM text is built whole and kept; a
+#: larger one is written child by child, so the report never holds its file
+_CHUNK_OPS = 4096
 
 #: Hand-optimized tally reported for the 3-qubit single Trotter step,
 #: kept for informational comparison in reports. Our generic lowering
@@ -105,31 +120,123 @@ class CXGate:
 
 BasisOp = U1Gate | U3Gate | CXGate
 
+#: index of each op kind in a (u1, u3, cx) tally
+_KIND = {U1Gate: 0, U3Gate: 1, CXGate: 2}
 
-@dataclass(frozen=True)
+
+def _flatten(body: tuple[BasisOp | _Entry, ...]) -> tuple[BasisOp, ...]:
+    """The basis ops of a body in order, each entry replaced by its own ops."""
+    ops: list[BasisOp] = []
+    for item in body:
+        if type(item) is _Entry:
+            ops.extend(item.ops)
+        else:
+            ops.append(item)
+    return tuple(ops)
+
+
+class _Entry:
+    """One lowered controlled gate, kept once per lowering and shared by every use.
+
+    ``body`` holds its basis ops (at most one control) or its child entries
+    (more controls), in order, and ``phase`` the global phase it adds. What
+    is derived from it is derived once: its flat ops, its tally and its
+    depth matrix. A plain class: a dataclass would cost about a
+    millisecond at every import, and its repr would print the whole tree.
+    """
+
+    def __init__(self, qubits: tuple[int, ...], body: tuple[BasisOp | _Entry, ...],
+                 phase: float) -> None:
+        self.qubits = qubits
+        self.body = body
+        self.phase = phase
+
+    @cached_property
+    def ops(self) -> tuple[BasisOp, ...]:
+        return _flatten(self.body)
+
+    @cached_property
+    def tally(self) -> tuple[int, int, int]:
+        """The (u1, u3, cx) counts of its flat ops."""
+        tally = [0, 0, 0]
+        for item in self.body:
+            if type(item) is _Entry:
+                tally = [a + b for a, b in zip(tally, item.tally)]
+            else:
+                tally[_KIND[type(item)]] += 1
+        return tuple(tally)
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """Max-plus matrix D of ``count``'s layering over ``qubits``.
+
+        From the last layers ``f`` on its qubits before it, the last layers
+        after it are max_p(f[p] + D[p, q]); -inf marks a qubit q that p
+        never reaches. Each column follows ``count``'s rule for every row at
+        once, and a child entry's matrix is chained onto its qubits' columns.
+        Layers are whole floats far below 2**53, so the sums are exact.
+        """
+        m = len(self.qubits)
+        col = {q: i for i, q in enumerate(self.qubits)}
+        d = np.full((m, m), -np.inf)
+        np.fill_diagonal(d, 0.0)
+        for item in self.body:
+            if type(item) is _Entry:
+                cols = [col[q] for q in item.qubits]
+                d[:, cols] = (d[:, cols, None] + item.depth).max(axis=1)
+            elif type(item) is CXGate:
+                c, t = col[item.control], col[item.target]
+                d[:, c] = d[:, t] = np.maximum(d[:, c], d[:, t]) + 1.0
+            else:
+                d[:, col[item.qubit]] += 1.0
+        return d
+
+
+@dataclass(frozen=True, eq=False)
 class BasisCircuit:
-    """A circuit over the {U1, U3, CX} basis plus an explicit global phase."""
+    """A circuit over the {U1, U3, CX} basis plus an explicit global phase.
+
+    ``body`` is the top-level sequence: basis ops and, in a circuit that
+    ``decompose`` built, the entries of its lowering, each standing for its
+    ops. ``ops`` is the flat op tuple, built on first use; two circuits are
+    equal when their qubit counts, flat ops, phases and labels are.
+    """
 
     qubit_count: int
-    ops: tuple[BasisOp, ...]
+    body: tuple[BasisOp | _Entry, ...]
     global_phase: float = 0.0
     label: str = ""
 
     def __post_init__(self) -> None:
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be >= 1")
-        object.__setattr__(self, "ops", tuple(self.ops))
-        # a lowered circuit shares its frozen ops, so each object is checked once,
-        # in order of first appearance
+        object.__setattr__(self, "body", tuple(self.body))
+        # shared items are checked once, in order of first appearance; an
+        # entry's own ops were checked when it was lowered
         qubits: set[int] = set()
-        for op in {id(op): op for op in self.ops}.values():
-            if not isinstance(op, (U1Gate, U3Gate, CXGate)):
-                raise TypeError(f"not a basis op: {op!r}")
-            qubits.update(op.qubits)
+        for item in {id(item): item for item in self.body}.values():
+            if not isinstance(item, (U1Gate, U3Gate, CXGate, _Entry)):
+                raise TypeError(f"not a basis op: {item!r}")
+            qubits.update(item.qubits)
         n = self.qubit_count
         if qubits and not (0 <= min(qubits) and max(qubits) < n):
             bad = min(qubits) if min(qubits) < 0 else max(qubits)
             raise ValueError(f"qubit {bad} outside register of {n}")
+
+    @cached_property
+    def ops(self) -> tuple[BasisOp, ...]:
+        return _flatten(self.body)
+
+    def _key(self) -> tuple:
+        return self.qubit_count, self.ops, self.global_phase, self.label
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BasisCircuit):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -222,33 +329,65 @@ def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
 # controlled-gate lowering
 
 
-def _emit_controlled(unitary: np.ndarray, controls: tuple[int, ...], target: int,
-                     ops: list[BasisOp], memo: dict) -> float:
-    """Append basis ops for a k-controlled 2x2 unitary (all controls fire on 1).
+def _blocks(ops: tuple[BasisOp, ...], phase: float, target: int) -> list[list[complex]]:
+    """The 2x2 blocks, row-major, that ops and phase apply to ``target``: control off, then on.
 
-    Returns the accumulated global phase. For every k >= 0 the ops and phase
-    are kept in ``memo`` per (unitary, controls, target), so each distinct
-    gate, the sub-gates of the recursion included, is lowered once per
-    ``decompose`` call and a later use appends the same frozen ops.
+    A gate with at most one control is lowered to ops on its target plus CX
+    and U1 on the control, so its matrix is block diagonal in the control.
+    """
+    e = complex(math.cos(phase), math.sin(phase))
+    blocks = [[e, 0j, 0j, e], [e, 0j, 0j, e]]
+    for op in ops:
+        if type(op) is CXGate:
+            blocks[1] = blocks[1][2:] + blocks[1][:2]  # X on the left swaps the rows
+        elif op.qubit == target:
+            a, b, c, d = op.matrix().ravel().tolist()
+            blocks = [[a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z]
+                      for w, x, y, z in blocks]
+        else:
+            f = complex(math.cos(op.lam), math.sin(op.lam))
+            blocks[1] = [f * v for v in blocks[1]]
+    return blocks
+
+
+def _check(error: float, what: str) -> None:
+    if not error <= _LOWER_TOL:  # also true for NaN
+        raise ArithmeticError(f"lowering check failed: {what} is off by {error:.3e}")
+
+
+def _lower_controlled(unitary: np.ndarray, controls: tuple[int, ...], target: int,
+                      memo: dict) -> _Entry:
+    """The checked table entry of a k-controlled 2x2 unitary (all controls fire on 1).
+
+    Entries are kept in ``memo`` per (unitary, controls, target), so each
+    distinct gate, the sub-gates of the recursion included, is lowered and
+    checked once per ``decompose`` call and every later use shares it.
     """
     u = np.asarray(unitary, dtype=complex)
     key = (u.tobytes(), controls, target)
-    if key not in memo:
-        lowered: list[BasisOp] = []
+    entry = memo.get(key)
+    if entry is not None:
+        return entry
+    if len(controls) > 1:
+        # C^k(U) = [CV on last control] [C^{k-1}X] [CV^dag] [C^{k-1}X]
+        #          [C^{k-1}V on remaining controls], V = sqrt(U); the
+        #          sub-gates are checked entries, so only the root is checked
+        rest, last = controls[:-1], controls[-1]
+        v = _unitary_sqrt(u)
+        _check(float(np.abs(v @ v - u).max()),
+               f"the square root of a {len(controls)}-control gate")
+        body = (_lower_controlled(v, (last,), target, memo),
+                _lower_controlled(_X, rest, last, memo),
+                _lower_controlled(v.conj().T, (last,), target, memo),
+                _lower_controlled(_X, rest, last, memo),
+                _lower_controlled(v, rest, target, memo))
+        phase = body[0].phase + body[1].phase + body[2].phase + body[3].phase + body[4].phase
+    else:
+        ops: list[BasisOp] = []
         if not controls:
-            phase = _emit_single(u, target, lowered)
-        elif len(controls) > 1:
-            # C^k(U) = [CV on last control] [C^{k-1}X] [CV^dag] [C^{k-1}X]
-            #          [C^{k-1}V on remaining controls], V = sqrt(U)
-            rest, last = controls[:-1], controls[-1]
-            v = _unitary_sqrt(u)
-            phase = _emit_controlled(v, (last,), target, lowered, memo)
-            phase += _emit_controlled(_X, rest, last, lowered, memo)
-            phase += _emit_controlled(v.conj().T, (last,), target, lowered, memo)
-            phase += _emit_controlled(_X, rest, last, lowered, memo)
-            phase += _emit_controlled(v, rest, target, lowered, memo)
+            phase = _emit_single(u, target, ops)
         elif _is_x(u):
-            lowered.append(CXGate(controls[0], target))
+            ops.append(CXGate(controls[0], target))
             phase = 0.0
         else:
             # controlled-U = U1(alpha) on control, then A X B X C on target
@@ -259,17 +398,22 @@ def _emit_controlled(unitary: np.ndarray, controls: tuple[int, ...], target: int
             mat_a = _rz(beta) @ _ry(gamma / 2.0)
             mat_b = _ry(-gamma / 2.0) @ _rz(-(delta + beta) / 2.0)
             mat_c = _rz((delta - beta) / 2.0)
-            phase = _emit_single(mat_c, target, lowered)
-            lowered.append(CXGate(c, target))
-            phase += _emit_single(mat_b, target, lowered)
-            lowered.append(CXGate(c, target))
-            phase += _emit_single(mat_a, target, lowered)
+            phase = _emit_single(mat_c, target, ops)
+            ops.append(CXGate(c, target))
+            phase += _emit_single(mat_b, target, ops)
+            ops.append(CXGate(c, target))
+            phase += _emit_single(mat_a, target, ops)
             if abs(alpha) > _DIAG_TOL:
-                lowered.append(U1Gate(c, alpha))
-        memo[key] = (tuple(lowered), phase)
-    lowered, phase = memo[key]
-    ops.extend(lowered)
-    return phase
+                ops.append(U1Gate(c, alpha))
+        body = tuple(ops)
+        off, on = _blocks(body, phase, target)
+        pairs = list(zip(on, u.ravel().tolist()))
+        if controls:
+            pairs += zip(off, (1, 0, 0, 1))
+        _check(float(np.max([abs(a - b) for a, b in pairs])),
+               f"the ops of a {len(controls)}-control gate")
+    entry = memo[key] = _Entry(controls + (target,), body, phase)
+    return entry
 
 
 def _emit_diagonal(gate: DiagonalGate, ops: list[BasisOp]) -> float:
@@ -302,27 +446,29 @@ def _emit_diagonal(gate: DiagonalGate, ops: list[BasisOp]) -> float:
 
 
 def decompose(circuit: Circuit | BasisCircuit) -> BasisCircuit:
-    """Lower a circuit to {U1, U3, CX}; basis circuits pass through unchanged."""
+    """Lower a circuit to {U1, U3, CX}; basis circuits pass through unchanged.
+
+    Its body holds the table entries of the controlled gates and the ops of
+    the diagonal gates, in circuit order.
+    """
     if isinstance(circuit, BasisCircuit):
         return circuit
-    ops: list[BasisOp] = []
+    body: list[BasisOp | _Entry] = []
     phase = 0.0
-    memo: dict = {}  # controlled-gate lowerings, local to this call
+    memo: dict = {}  # controlled-gate entries, local to this call
     for op in circuit.ops:
         if isinstance(op, DiagonalGate):
-            phase += _emit_diagonal(op, ops)
+            phase += _emit_diagonal(op, body)
             continue
         if not isinstance(op, ControlledGate):
             raise TypeError(f"cannot lower {op!r}")
         # normalize control polarity: controls firing on 0 get X wraps
-        zeros = tuple(q for q, pol in op.controls if pol == 0)
-        for q in zeros:
-            phase += _emit_controlled(_X, (), q, ops, memo)
-        phase += _emit_controlled(op.unitary, tuple(q for q, _ in op.controls), op.target, ops,
-                                  memo)
-        for q in reversed(zeros):
-            phase += _emit_controlled(_X, (), q, ops, memo)
-    return BasisCircuit(circuit.qubit_count, tuple(ops), phase, label=circuit.label)
+        wraps = [_lower_controlled(_X, (), q, memo) for q, pol in op.controls if pol == 0]
+        gate = _lower_controlled(op.unitary, tuple(q for q, _ in op.controls), op.target, memo)
+        for entry in (*wraps, gate, *reversed(wraps)):
+            phase += entry.phase
+            body.append(entry)
+    return BasisCircuit(circuit.qubit_count, tuple(body), phase, label=circuit.label)
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +476,31 @@ def decompose(circuit: Circuit | BasisCircuit) -> BasisCircuit:
 
 
 def count(circuit: BasisCircuit) -> GateCounts:
-    """Tally gates by kind; depth = layering where disjoint qubits share a layer."""
+    """Tally gates by kind; depth = layering where disjoint qubits share a layer.
+
+    Walks the body: an op moves the last layer of its qubits, and an entry
+    adds its tally and takes its qubits' last layers through its depth matrix.
+    """
     u1 = u3 = cx = 0
     frontier = [0] * circuit.qubit_count
-    for op in circuit.ops:
-        if type(op) is CXGate:
+    for item in circuit.body:
+        if type(item) is _Entry:
+            a, b, c = item.tally
+            u1, u3, cx = u1 + a, u3 + b, cx + c
+            before = np.array([frontier[q] for q in item.qubits])
+            after = (before[:, None] + item.depth).max(axis=0)
+            for q, layer in zip(item.qubits, after.astype(np.int64).tolist()):
+                frontier[q] = layer
+        elif type(item) is CXGate:
             cx += 1
-            layer = 1 + max(frontier[op.control], frontier[op.target])
-            frontier[op.control] = frontier[op.target] = layer
-            continue
-        if type(op) is U1Gate:
-            u1 += 1
+            layer = 1 + max(frontier[item.control], frontier[item.target])
+            frontier[item.control] = frontier[item.target] = layer
         else:
-            u3 += 1
-        frontier[op.qubit] += 1
+            if type(item) is U1Gate:
+                u1 += 1
+            else:
+                u3 += 1
+            frontier[item.qubit] += 1
     return GateCounts(depth=max(frontier), u1=u1, u3=u3, cx=cx)
 
 
@@ -393,26 +550,51 @@ def _qasm_line(op: BasisOp) -> str:
     return f"cx q[{op.control}],q[{op.target}];"
 
 
-def emit_qasm(circuit: BasisCircuit) -> str:
-    """OpenQASM 2.0 text over u1/u3/cx, with the global phase as a comment.
+def _qasm_chunks(circuit: BasisCircuit) -> Iterator[str]:
+    """The text of ``emit_qasm`` in pieces: the header, then each top-level item.
 
-    A lowered circuit repeats its shared op objects many times over, so each
-    object's line is built once per call, keyed by ``id(op)``; the circuit
-    holds every op until the call returns.
+    Each op object's line and each entry's text is built once per call, keyed
+    by ``id``, while the circuit holds every item. An entry of more than
+    ``_CHUNK_OPS`` ops is written child by child, so no piece is larger.
     """
     text: dict[int, str] = {}
-    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";']
+
+    def text_of(item: BasisOp | _Entry) -> str:
+        piece = text.get(id(item))
+        if piece is None:
+            if type(item) is _Entry:
+                piece = "".join(map(text_of, item.body))
+            else:
+                piece = _qasm_line(item) + "\n"
+            text[id(item)] = piece
+        return piece
+
+    def pieces(item: BasisOp | _Entry) -> Iterator[str]:
+        if type(item) is _Entry and sum(item.tally) > _CHUNK_OPS:
+            for child in item.body:
+                yield from pieces(child)
+        else:
+            yield text_of(item)
+
+    yield 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
     if circuit.label:
-        lines.append(f"// {circuit.label}")
+        yield f"// {circuit.label}\n"
     if circuit.global_phase != 0.0:
-        lines.append(f"// global phase: {circuit.global_phase!r}")
-    lines.append(f"qreg q[{circuit.qubit_count}];")
-    for op in circuit.ops:
-        line = text.get(id(op))
-        if line is None:
-            line = text[id(op)] = _qasm_line(op)
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+        yield f"// global phase: {circuit.global_phase!r}\n"
+    yield f"qreg q[{circuit.qubit_count}];\n"
+    for item in circuit.body:
+        yield from pieces(item)
+
+
+def emit_qasm(circuit: BasisCircuit) -> str:
+    """OpenQASM 2.0 text over u1/u3/cx, with the global phase as a comment."""
+    return "".join(_qasm_chunks(circuit))
+
+
+def write_qasm(circuit: BasisCircuit, path: str | Path) -> None:
+    """Write ``emit_qasm(circuit)`` to ``path`` in pieces, never holding it whole."""
+    with open(path, "w", encoding="ascii") as f:
+        f.writelines(_qasm_chunks(circuit))
 
 
 def _angle(text: str) -> float:
@@ -454,16 +636,18 @@ def parse_qasm(text: str) -> BasisCircuit:
     ops: list[BasisOp] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if line.startswith("OPENQASM"):
-            saw_header = True
-            continue
         if not line or line.startswith("include"):
             continue
         try:
+            if line.startswith("OPENQASM"):
+                if saw_header:
+                    raise ValueError("repeated OPENQASM header")
+                saw_header = True
+                continue
             if not saw_header:
                 raise ValueError("missing OPENQASM 2.0 header")
             if line.startswith("//"):
-                m = re.match(r"^// global phase:\s*(\S+)$", line)
+                m = re.match(r"^// global phase:(.*)$", line)
                 if m:
                     global_phase = _angle(m.group(1))
                 continue
@@ -476,7 +660,13 @@ def parse_qasm(text: str) -> BasisCircuit:
             for pattern, read in _QASM_OPS:
                 m = pattern.match(line)
                 if m:
-                    ops.append(read(m))
+                    if qubit_count is None:
+                        raise ValueError("op before the qreg declaration")
+                    op = read(m)
+                    if max(op.qubits) >= qubit_count:
+                        raise ValueError(
+                            f"qubit {max(op.qubits)} outside register of {qubit_count}")
+                    ops.append(op)
                     break
             else:
                 raise ValueError("unrecognized QASM line")

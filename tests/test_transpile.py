@@ -17,6 +17,7 @@ from blochsim.circuits import (
 )
 from blochsim.model import ModelParams, params_with_gamma
 from blochsim.statevector import ControlledGate, DiagonalGate, apply_gate_to_array
+import blochsim.transpile as transpile
 from blochsim.transpile import (
     REFERENCE_STEP_COUNTS_3Q,
     BasisCircuit,
@@ -31,6 +32,7 @@ from blochsim.transpile import (
     emit_qasm,
     equivalent_up_to_phase,
     parse_qasm,
+    write_qasm,
 )
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -133,6 +135,28 @@ class TestControlledDecomposition:
         for op in basis.ops:
             apply_gate_to_array(psi, n, gates[id(op)])
         np.testing.assert_allclose(psi * np.exp(1j * basis.global_phase), want, rtol=0, atol=1e-12)
+
+
+class TestLoweringChecks:
+    """Each entry is checked once while it is lowered; a wrong one raises."""
+
+    def test_perturbed_square_root_is_caught(self, monkeypatch):
+        exact = transpile._unitary_sqrt
+        monkeypatch.setattr(transpile, "_unitary_sqrt", lambda u: exact(u) + 1e-6 * _X)
+        gate = ControlledGate(2, _U, ((0, 1), (1, 1)))
+        with pytest.raises(ArithmeticError, match="square root of a 2-control gate"):
+            decompose(Circuit(3, (gate,)))
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_perturbed_few_control_ops_are_caught(self, monkeypatch, k):
+        # a wrong phase from the one-qubit emission reaches every gate with
+        # at most one control
+        exact = transpile._emit_single
+        monkeypatch.setattr(transpile, "_emit_single",
+                            lambda u, q, ops: exact(u, q, ops) + 1e-6)
+        gate = ControlledGate(1, _U, ((0, 1),) * k)
+        with pytest.raises(ArithmeticError, match=f"ops of a {k}-control gate"):
+            decompose(Circuit(2, (gate,)))
 
 
 def _relabelled(ops, mapping: dict) -> tuple:
@@ -519,6 +543,26 @@ class TestQasm:
         with pytest.raises(ValueError, match="OPENQASM"):
             parse_qasm("qreg q[1];\n")
 
+    @pytest.mark.parametrize("body,line,message", [
+        ("u1(0.5) q[0];\nqreg q[1];\n", "u1(0.5) q[0];", "op before the qreg declaration"),
+        ("qreg q[2];\ncx q[0],q[5];\n", "cx q[0],q[5];", "qubit 5 outside register of 2"),
+        ("qreg q[2];\nu3(0,0,0) q[2];\n", "u3(0,0,0) q[2];", "qubit 2 outside register of 2"),
+        ("OPENQASM 2.0;\nqreg q[1];\n", "OPENQASM 2.0;", "repeated OPENQASM header"),
+        ("// global phase: 1.0 extra\nqreg q[1];\n", "// global phase: 1.0 extra",
+         "not an angle '1.0 extra'"),
+        ("// global phase:\nqreg q[1];\n", "// global phase:", "not an angle ''"),
+    ], ids=["op-before-qreg", "cx-outside", "u3-outside", "second-header", "phase-extra",
+            "phase-empty"])
+    def test_parse_rejects_naming_the_line(self, body, line, message):
+        with pytest.raises(ValueError) as err:
+            parse_qasm(f'OPENQASM 2.0;\ninclude "qelib1.inc";\n{body}')
+        assert str(err.value) == f"{message}: {line}"
+
+    def test_write_qasm_writes_the_emitted_text(self, tmp_path):
+        basis = self._demo_basis()
+        write_qasm(basis, tmp_path / "step.qasm")
+        assert (tmp_path / "step.qasm").read_bytes() == emit_qasm(basis).encode("ascii")
+
 
 # finite angles, with the edge cases of float repr forced in: signed zeros,
 # subnormals, and exponent forms at both ends
@@ -602,8 +646,10 @@ class TestQasmAngleText:
         assert lines[-len(circuit.ops):] == [_fresh_line(op) for op in circuit.ops]
 
     @pytest.mark.parametrize("particles,gamma",
-                             [(1, g) for g in range(1, 9)] + [(2, g) for g in range(1, 5)])
+                             [(1, g) for g in range(1, 12)] + [(2, g) for g in range(1, 7)])
     def test_lowered_step_prints_op_by_op(self, particles, gamma):
+        # the text and the counts come from the lowering's entry table; both
+        # must equal the same work done op by op on the flat tuple
         p = params_with_gamma(gamma, delta_a=5.0, delta_b=1.0, f_dc=1.5, v=2.0)
         build = build_trotter_step if particles == 1 else build_two_particle_step
         basis = decompose(build(p, DT, DT))
@@ -611,3 +657,75 @@ class TestQasmAngleText:
         lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"// {basis.label}", *phase,
                  f"qreg q[{basis.qubit_count}];", *map(_fresh_line, basis.ops)]
         assert emit_qasm(basis) == "\n".join(lines) + "\n"
+        assert count(basis).as_dict() == _frontier_counts(basis)
+
+
+def _frontier_counts(circuit: BasisCircuit) -> dict:
+    """Tallies and depth from one frontier loop over the flat ops."""
+    tally = {"u1": 0, "u3": 0, "cx": 0}
+    frontier = [0] * circuit.qubit_count
+    for op in circuit.ops:
+        if isinstance(op, CXGate):
+            tally["cx"] += 1
+            frontier[op.control] = frontier[op.target] = 1 + max(frontier[op.control],
+                                                                 frontier[op.target])
+        else:
+            tally["u1" if isinstance(op, U1Gate) else "u3"] += 1
+            frontier[op.qubit] += 1
+    return {"depth": max(frontier), **tally}
+
+
+@st.composite
+def _mixed_circuits(draw):
+    """Circuits on at most 6 qubits: controlled gates, repeats and diagonals."""
+    n = draw(st.integers(1, 6))
+    gates = []
+    for _ in range(draw(st.integers(1, 6))):
+        qubits = tuple(draw(st.permutations(range(n)))[:draw(st.integers(1, n))])
+        if draw(st.booleans()):
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            gates.append(DiagonalGate(qubits, np.exp(1j * rng.uniform(-np.pi, np.pi,
+                                                                      2 ** len(qubits)))))
+        elif gates and draw(st.booleans()):
+            gates.append(gates[-1])
+        else:
+            polarities = draw(st.lists(st.integers(0, 1), min_size=len(qubits) - 1,
+                                       max_size=len(qubits) - 1))
+            gates.append(_gate(draw(_lowering_unitaries()), qubits, polarities))
+    return Circuit(n, tuple(gates), label="mixed")
+
+
+def _assert_table_matches_flat(circuit: Circuit) -> None:
+    """count, emit_qasm and equality on the lowered table agree with the flat ops."""
+    basis = decompose(circuit)
+    flat = BasisCircuit(basis.qubit_count, basis.ops, basis.global_phase, basis.label)
+    assert count(basis).as_dict() == _frontier_counts(flat) == count(flat).as_dict()
+    text = emit_qasm(basis)
+    qreg = f"qreg q[{basis.qubit_count}];\n"
+    head = text[:text.index(qreg) + len(qreg)]
+    assert text == head + "".join(_fresh_line(op) + "\n" for op in basis.ops)
+    assert text == emit_qasm(flat)
+    assert parse_qasm(head).global_phase == basis.global_phase
+    assert basis == flat and hash(basis) == hash(flat)
+
+
+class TestLoweredTable:
+    """The lowering's entries are counted and printed once; the result must
+    equal the same work done op by op on the flat tuple."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mixed_circuits())
+    def test_random_circuits(self, circuit):
+        _assert_table_matches_flat(circuit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_placement_cases())
+    def test_shared_placements(self, case):
+        n, gates = case
+        _assert_table_matches_flat(Circuit(n, gates))
+
+    def test_ops_are_built_once_and_shared(self):
+        p = params_with_gamma(4, delta_a=5.0, delta_b=1.0, f_dc=1.5)
+        basis = decompose(build_trotter_step(p, DT, DT))
+        assert basis.ops is basis.ops
+        assert len(basis.body) < len(basis.ops)
